@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -28,6 +28,7 @@ from .core import (
     ParseError,
     ShapeError,
     SolverConfig,
+    WOODBURY_MODES,
 )
 from .dataio import LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, pca_project
 from .evaluate import clustering_error, run_ablation
@@ -175,19 +176,8 @@ def _run_ablation_command(manifest: RunManifest, workers: int) -> None:
     if manifest.pca_dim is not None:
         data = pca_project(data, manifest.pca_dim)
         dataset = LabeledDataset(data, dataset.labels)
-    base = manifest.solver
     grid = [
-        SolverConfig(
-            model=model,
-            lam=lam,
-            s=base.s,
-            rho=base.rho,
-            max_iters=base.max_iters,
-            tol=base.tol,
-            zero_diagonal=base.zero_diagonal,
-            use_woodbury=base.use_woodbury,
-            seed=base.seed,
-        )
+        replace(manifest.solver, model=model, lam=lam)
         for model in ABLATION_MODELS
         for lam in ABLATION_LAMBDAS
     ]
@@ -222,9 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for data generation and k-means (default 0)")
     parser.add_argument("--zero-diagonal", action="store_true",
-                        help="force zero self-representation (simplex re-projection variant)")
-    parser.add_argument("--woodbury", choices=["auto", "on", "off"], default="auto",
-                        help="linear-system inversion strategy (default auto)")
+                        help="force zero self-representation (exact simplex projection "
+                             "of the off-diagonal entries)")
+    parser.add_argument("--woodbury", choices=WOODBURY_MODES, default="auto",
+                        help="how an explicit ridge inverse would be materialised; the "
+                             "solvers use a thin-SVD kernel and give the same result "
+                             "for every value (default auto)")
     parser.add_argument("--synthetic", metavar="D,d,n,ppc,sigma",
                         help="generate a union-of-subspaces sample instead of reading a file")
     parser.add_argument("--input", type=Path, help="row-per-sample CSV input")

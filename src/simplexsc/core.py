@@ -12,7 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 MODELS = ("ssrsc", "nlsr", "slsr", "lsr")
-WOODBURY_MODES = ("auto", "on", "off")
+# The regularized_gram_inverse mode each use_woodbury setting selects. It
+# decides only how an explicit N x N ridge inverse is materialised, never what
+# a solver returns.
+WOODBURY_INVERSE_MODES = {"auto": "auto", "on": "woodbury", "off": "direct"}
+WOODBURY_MODES = tuple(WOODBURY_INVERSE_MODES)
 AFFINITY_MODES = ("sym", "abs")
 
 

@@ -10,9 +10,17 @@ differ only in the constraint set:
 
 The three constrained models run the same ADMM skeleton: a ridge update of C
 against the current feasible iterate, a projection update of Z, and a dual
-ascent on the multiplier. The ridge system matrix is constant, so its inverse
-is computed once up front, optionally through the Woodbury identity which
-swaps the N x N inversion for a D x D one (a large win whenever D < N).
+ascent on the multiplier. The ridge system X^T X + shift*I is constant, so it
+is factored once up front by one thin SVD X = U S V^T (r = min(D, N)):
+
+    (X^T X + shift*I)^{-1} M = M/shift + V diag(1/(s^2+shift) - 1/shift) V^T M
+
+A C-step then costs O(rN^2) per iteration instead of O(N^3), and no N x N
+inverse or Gram matrix is stored; lsr's closed form is V diag(s^2/(s^2+lam)) V^T.
+The explicit inverse stays available through ``regularized_gram_inverse``,
+optionally by the Woodbury identity, which swaps the N x N inversion for a
+D x D one; ``use_woodbury`` chooses only how that explicit inverse is
+materialised, not what a solver returns.
 
 Solves run on one BLAS thread (see ``blas``), so their bits do not depend on
 the BLAS thread count. The C-step takes its parallelism instead from
@@ -25,6 +33,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +43,8 @@ from .core import (
     DivergenceError,
     NumericError,
     SolverConfig,
+    WOODBURY_INVERSE_MODES,
+    WOODBURY_MODES,
     as_data_matrix,
     frobenius_distance,
 )
@@ -41,7 +52,6 @@ from .projections import (
     project_columns_scaled_affine,
     project_columns_scaled_simplex,
     project_nonneg,
-    project_scaled_simplex,
 )
 
 GRAM_INVERSE_MODES = ("direct", "woodbury", "auto")
@@ -59,11 +69,30 @@ SPREAD_MIN_BLOCKS = 4
 
 @dataclass(frozen=True)
 class PrecomputedKernel:
-    """Gram matrix and shifted inverse reused across all ADMM iterations."""
+    """Thin-SVD factors of the ridge system X^T X + shift*I, reused across all ADMM iterations.
 
-    gram: np.ndarray            # X^T X
-    inverse_factor: np.ndarray  # (X^T X + shift*I)^{-1}
+    With X = U S V^T and ridge = s^2/(s^2 + shift):
+    (X^T X + shift*I)^{-1} X^T X = V diag(ridge) V^T and
+    (X^T X + shift*I)^{-1} = I/shift - V diag(ridge/shift) V^T. ``gram`` and
+    ``inverse_factor`` build the N x N matrices on first use, for callers
+    that want them; the solvers never do.
+    """
+
+    data: np.ndarray   # X, D x N
+    vt: np.ndarray     # V^T, r x N
+    ridge: np.ndarray  # s^2 / (s^2 + shift), one per singular value
     shift: float
+    mode: str = "auto"  # how inverse_factor is materialised (regularized_gram_inverse)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """X^T X."""
+        return self.data.T @ self.data
+
+    @cached_property
+    def inverse_factor(self) -> np.ndarray:
+        """(X^T X + shift*I)^{-1}."""
+        return regularized_gram_inverse(self.data, self.shift, self.mode)
 
 
 @dataclass
@@ -84,6 +113,13 @@ class SolveResult:
         return len(self.residual_history)
 
 
+def _check_ridge_arguments(shift: float, mode: str) -> None:
+    if not np.isfinite(shift) or shift <= 0:
+        raise ConfigError(f"shift must be positive, got {shift}")
+    if mode not in GRAM_INVERSE_MODES:
+        raise ConfigError(f"mode must be one of {GRAM_INVERSE_MODES}, got {mode!r}")
+
+
 def regularized_gram_inverse(x, shift: float, mode: str = "auto") -> np.ndarray:
     """Return (X^T X + shift*I)^{-1} for a D x N data matrix.
 
@@ -93,10 +129,7 @@ def regularized_gram_inverse(x, shift: float, mode: str = "auto") -> np.ndarray:
     inner D x D system is positive definite for any shift > 0.
     """
     x = as_data_matrix(x)
-    if not np.isfinite(shift) or shift <= 0:
-        raise ConfigError(f"shift must be positive, got {shift}")
-    if mode not in GRAM_INVERSE_MODES:
-        raise ConfigError(f"mode must be one of {GRAM_INVERSE_MODES}, got {mode!r}")
+    _check_ridge_arguments(shift, mode)
     d, n = x.shape
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "woodbury" or (mode == "auto" and d < n):
@@ -111,25 +144,32 @@ def regularized_gram_inverse(x, shift: float, mode: str = "auto") -> np.ndarray:
 
 
 def precompute_kernel(x, shift: float, mode: str = "auto") -> PrecomputedKernel:
-    """Build the Gram matrix and its shifted inverse for an ADMM run."""
+    """Factor the ridge system of a D x N data matrix by one thin SVD.
+
+    ``mode`` is the ``regularized_gram_inverse`` mode that ``inverse_factor``
+    uses when it is asked for; the factors do not depend on it.
+    """
     x = as_data_matrix(x)
-    return PrecomputedKernel(
-        gram=x.T @ x,
-        inverse_factor=regularized_gram_inverse(x, shift, mode),
-        shift=shift,
-    )
+    _check_ridge_arguments(shift, mode)
+    _, singular, vt = np.linalg.svd(x, full_matrices=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared = singular**2
+        ridge = squared / (squared + shift)
+    if not np.all(np.isfinite(ridge)):
+        raise NumericError("ridge kernel factors are non-finite; rescale the data")
+    return PrecomputedKernel(x, vt, ridge, shift, mode)
 
 
 @single_blas_thread()
 def solve_lsr(x, lam: float, use_woodbury: str = "auto") -> np.ndarray:
-    """Closed-form ridge self-expression C = (X^T X + lam*I)^{-1} X^T X."""
+    """Closed-form ridge self-expression C = (X^T X + lam*I)^{-1} X^T X = V diag(ridge) V^T."""
     x = as_data_matrix(x)
     if not np.isfinite(lam) or lam <= 0:
         raise ConfigError(f"lam must be positive, got {lam}")
-    mode = {"auto": "auto", "on": "woodbury", "off": "direct"}.get(use_woodbury)
-    if mode is None:
-        raise ConfigError(f"use_woodbury must be one of ('auto', 'on', 'off'), got {use_woodbury!r}")
-    return regularized_gram_inverse(x, lam, mode) @ (x.T @ x)
+    if use_woodbury not in WOODBURY_MODES:
+        raise ConfigError(f"use_woodbury must be one of {WOODBURY_MODES}, got {use_woodbury!r}")
+    kernel = precompute_kernel(x, lam, WOODBURY_INVERSE_MODES[use_woodbury])
+    return kernel.vt.T @ (kernel.ridge[:, None] * kernel.vt)
 
 
 def _usable_cores() -> int:
@@ -139,19 +179,29 @@ def _usable_cores() -> int:
 
 
 def _c_step(kernel: PrecomputedKernel, z, delta, rho: float, pool, workers: int) -> np.ndarray:
-    """inverse_factor @ (gram + rho/2 * Z + Delta/2), one CSTEP_BLOCK of columns at a time.
+    """(X^T X + shift*I)^{-1} (X^T X + R) with R = rho/2 * Z + Delta/2, one CSTEP_BLOCK of columns at a time.
 
-    Worker w takes blocks w, w + workers, ...; the calling thread is worker 0.
+    Through the kernel's factors a block is Q + V diag(ridge) (V^T[:, cols] - V^T Q)
+    with Q = R/shift: 4rN^2 flops per step. Worker w takes blocks w,
+    w + workers, ...; the calling thread is worker 0.
     """
     n = z.shape[1]
     c = np.empty((n, n))
     starts = range(0, n, CSTEP_BLOCK)
+    vt, ridge = kernel.vt, kernel.ridge[:, None]
+    z_weight, delta_weight = 0.5 * rho / kernel.shift, 0.5 / kernel.shift
 
     def run(share) -> None:
         for start in share:
             cols = slice(start, start + CSTEP_BLOCK)
-            rhs = kernel.gram[:, cols] + 0.5 * rho * z[:, cols] + 0.5 * delta[:, cols]
-            np.matmul(kernel.inverse_factor, rhs, out=c[:, cols])
+            q = z[:, cols] * z_weight
+            q += delta[:, cols] * delta_weight
+            inner = vt @ q
+            np.subtract(vt[:, cols], inner, out=inner)
+            inner *= ridge
+            block = vt.T @ inner
+            block += q
+            c[:, cols] = block
 
     futures = [pool.submit(run, starts[w::workers]) for w in range(1, workers)]
     run(starts[::workers])
@@ -168,7 +218,7 @@ def _admm_loop(x: np.ndarray, cfg: SolverConfig, shift: float, z_update) -> Solv
     max_iters iterations. Returns Z, the iterate that satisfies the model's
     constraints exactly.
     """
-    mode = {"auto": "auto", "on": "woodbury", "off": "direct"}[cfg.use_woodbury]
+    mode = WOODBURY_INVERSE_MODES[cfg.use_woodbury]
     n = x.shape[1]
     blocks = -(-n // CSTEP_BLOCK)
     workers = min(_usable_cores(), blocks) if blocks >= SPREAD_MIN_BLOCKS else 1
@@ -187,7 +237,10 @@ def _admm_loop(x: np.ndarray, cfg: SolverConfig, shift: float, z_update) -> Solv
             c_change = frobenius_distance(c_next, c)
             c = c_next
             z_next = z_update(c, delta)
-            delta += cfg.rho * (z_next - c)
+            step = np.subtract(z_next, c)
+            step *= cfg.rho
+            delta += step
+            del step
             history.append((frobenius_distance(c, z_next), c_change, frobenius_distance(z_next, z)))
             z = z_next
             if max(history[-1]) <= cfg.tol:
@@ -196,14 +249,26 @@ def _admm_loop(x: np.ndarray, cfg: SolverConfig, shift: float, z_update) -> Solv
     return SolveResult(coefficients=z, residual_history=history, converged=converged)
 
 
-def _rezero_diagonal(z: np.ndarray, s: float) -> np.ndarray:
-    """Force diag(Z)=0, re-projecting each column's off-diagonal onto the simplex."""
-    n = z.shape[0]
-    out = np.empty_like(z)
-    for j in range(n):
-        keep = np.delete(z[:, j], j)
-        col = np.insert(project_scaled_simplex(keep, s), j, 0.0)
-        out[:, j] = col
+def _dual_shifted(c: np.ndarray, delta: np.ndarray, rho: float) -> np.ndarray:
+    """C - Delta/rho in one new array (each N x N temporary costs time and peak memory)."""
+    v = delta / rho
+    return np.subtract(c, v, out=v)
+
+
+def _project_off_diagonal(v: np.ndarray, s: float) -> np.ndarray:
+    """Project each column of a square v, without its diagonal entry, onto the scale-s simplex.
+
+    The diagonal of the result is 0, so each column is the exact projection
+    of v's column onto {z >= 0, sum(z) = s, z_jj = 0}.
+    """
+    n = v.shape[0]
+    upper = np.triu(np.ones((n - 1, n), dtype=bool), 1)
+    # Column j of off is v[:, j] without v[j, j]: rows i < j from v[:-1], the rest from v[1:].
+    off = np.where(upper, v[:-1], v[1:])
+    projected = project_columns_scaled_simplex(off, s)
+    out = np.zeros((n, n))
+    np.copyto(out[:-1], projected, where=upper)
+    np.copyto(out[1:], projected, where=~upper)
     return out
 
 
@@ -211,8 +276,9 @@ def solve_ssrsc(x, cfg: SolverConfig) -> SolveResult:
     """ADMM for ridge self-expression with scale-s simplex columns.
 
     The Z-step projects each column of rho/(2*lam+rho) * (C - Delta/rho)
-    onto the scale-s simplex; with cfg.zero_diagonal the diagonal entry is
-    then zeroed and the remaining entries re-projected, keeping feasibility.
+    onto the scale-s simplex; with cfg.zero_diagonal it projects each column
+    without its diagonal entry and sets the diagonal to 0, the exact
+    projection onto simplex columns with a zero diagonal.
     """
     if cfg.model != "ssrsc":
         raise ConfigError(f"solve_ssrsc requires model 'ssrsc', got {cfg.model!r}")
@@ -222,11 +288,11 @@ def solve_ssrsc(x, cfg: SolverConfig) -> SolveResult:
     scale = cfg.rho / (2.0 * cfg.lam + cfg.rho)
 
     def z_update(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        v = scale * (c - delta / cfg.rho)
-        z = project_columns_scaled_simplex(v, cfg.s)
+        v = _dual_shifted(c, delta, cfg.rho)
+        v *= scale
         if cfg.zero_diagonal:
-            z = _rezero_diagonal(z, cfg.s)
-        return z
+            return _project_off_diagonal(v, cfg.s)
+        return project_columns_scaled_simplex(v, cfg.s)
 
     return _admm_loop(x, cfg, shift=0.5 * cfg.rho, z_update=z_update)
 
@@ -243,7 +309,7 @@ def solve_nlsr(x, cfg: SolverConfig) -> SolveResult:
     x = as_data_matrix(x)
 
     def z_update(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        return project_nonneg(c - delta / cfg.rho)
+        return project_nonneg(_dual_shifted(c, delta, cfg.rho))
 
     return _admm_loop(x, cfg, shift=0.5 * (2.0 * cfg.lam + cfg.rho), z_update=z_update)
 
@@ -261,7 +327,9 @@ def solve_slsr(x, cfg: SolverConfig) -> SolveResult:
     scale = cfg.rho / (2.0 * cfg.lam + cfg.rho)
 
     def z_update(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        return project_columns_scaled_affine(scale * (c - delta / cfg.rho), cfg.s)
+        v = _dual_shifted(c, delta, cfg.rho)
+        v *= scale
+        return project_columns_scaled_affine(v, cfg.s)
 
     return _admm_loop(x, cfg, shift=0.5 * cfg.rho, z_update=z_update)
 

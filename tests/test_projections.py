@@ -12,6 +12,9 @@ from simplexsc import (
     project_scaled_simplex,
 )
 from simplexsc.projections import (
+    PROJECTION_BLOCK,
+    TOP_M,
+    TOP_M_GROWTH,
     project_columns_scaled_affine,
     project_columns_scaled_simplex,
 )
@@ -157,3 +160,83 @@ class TestColumnHelpers:
         by_matrix = project_columns_scaled_affine(m, -1.2)
         for j in range(10):
             np.testing.assert_array_equal(by_matrix[:, j], project_scaled_affine(m[:, j], -1.2))
+
+
+class TestVectorizedColumns:
+    """The matrix projections against the per-vector ones, column by column, bit for bit."""
+
+    @staticmethod
+    def mixed_matrix(n, rng):
+        """Columns with small, medium and large supports, ties and constants, over several blocks."""
+        width = 2 * PROJECTION_BLOCK + 37
+        m = rng.standard_normal((n, width)) * 1e-3
+        m[rng.integers(n, size=width // 4), np.arange(width // 4)] += 1.0     # support 1
+        m[:, width // 4 : width // 2] *= 10.0                                 # dense supports
+        m[:, width // 2 : width // 2 + 40] = rng.integers(-2, 3, (n, 40)) * 0.1  # ties
+        m[:, -20:] = rng.standard_normal(20)                                  # constant columns
+        return m
+
+    def test_simplex_equals_vector_projection_across_candidate_paths(self):
+        rng = np.random.default_rng(41)
+        n = 3 * TOP_M * TOP_M_GROWTH // 2
+        m = self.mixed_matrix(n, rng)
+        out = project_columns_scaled_simplex(m, 0.5)
+        assert out.flags.c_contiguous
+        for j in range(m.shape[1]):
+            np.testing.assert_array_equal(out[:, j], project_scaled_simplex(m[:, j], 0.5))
+        support = (out > 0).sum(axis=0)
+        assert support.min() < TOP_M                       # settled on the first partition
+        assert np.any((support >= TOP_M) & (support < TOP_M * TOP_M_GROWTH))  # a larger m
+        assert support.max() >= TOP_M * TOP_M_GROWTH       # the full sort
+
+    def test_simplex_ties_at_the_threshold(self):
+        # u = [2, 1, 1, ...] with s = 1 puts the tied entries exactly on the
+        # threshold; decimal ties put them within a rounding error of it.
+        n = 4 * TOP_M
+        m = np.ones((n, 3))
+        m[0] = 2.0
+        m[:, 1] *= 0.1
+        m[0, 1] = 0.3
+        m[:, 2] = 0.0
+        for s in (1.0, 0.2, 0.5):
+            out = project_columns_scaled_simplex(m, s)
+            for j in range(3):
+                np.testing.assert_array_equal(out[:, j], project_scaled_simplex(m[:, j], s))
+
+    @pytest.mark.parametrize("width", [1, 300])
+    def test_any_memory_layout_leaves_the_input_alone(self, width):
+        rng = np.random.default_rng(43)
+        m = np.asfortranarray(rng.standard_normal((4 * TOP_M, width)))
+        kept = m.copy()
+        out = project_columns_scaled_simplex(m, 0.5)
+        np.testing.assert_array_equal(m, kept)
+        assert out.flags.c_contiguous and project_columns_scaled_affine(m, 0.5).flags.c_contiguous
+        np.testing.assert_array_equal(out, project_columns_scaled_simplex(kept, 0.5))
+        for j in range(width):
+            np.testing.assert_array_equal(out[:, j], project_scaled_simplex(kept[:, j], 0.5))
+
+    def test_affine_equals_vector_projection(self):
+        rng = np.random.default_rng(42)
+        m = self.mixed_matrix(300, rng)
+        out = project_columns_scaled_affine(m, 0.7)
+        assert out.flags.c_contiguous
+        for j in range(m.shape[1]):
+            np.testing.assert_array_equal(out[:, j], project_scaled_affine(m[:, j], 0.7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.ones((4, 300))
+        m[2, 290] = bad
+        with pytest.raises(NumericError):
+            project_columns_scaled_simplex(m, 1.0)
+        with pytest.raises(NumericError):
+            project_columns_scaled_affine(m, 1.0)
+
+    def test_rejects_bad_scale_and_empty_columns(self):
+        for s in (0.0, -1.0):
+            with pytest.raises(ConfigError):
+                project_columns_scaled_simplex(np.ones((3, 2)), s)
+        with pytest.raises(ConfigError):
+            project_columns_scaled_simplex(np.ones((0, 2)), 1.0)
+        with pytest.raises(ConfigError):
+            project_columns_scaled_affine(np.ones((0, 2)), 1.0)

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from simplexsc import (
     ConfigError,
     NumericError,
     SolverConfig,
+    SyntheticSpec,
+    generate_synthetic,
     frobenius_distance,
     precompute_kernel,
     regularized_gram_inverse,
@@ -14,8 +18,11 @@ from simplexsc import (
     solve_slsr,
     solve_ssrsc,
 )
+from simplexsc import solvers
+from simplexsc.solvers import _c_step, _project_off_diagonal
 
 from oracles import (
+    _project_columns_simplex,
     hyperplane_column_oracle,
     nnls_column_oracle,
     pgd_ssrsc_oracle,
@@ -271,3 +278,85 @@ class TestDispatch:
         direct = {"ssrsc": solve_ssrsc, "nlsr": solve_nlsr, "slsr": solve_slsr}[model](x, cfg)
         via_dispatch = solve(x, cfg)
         np.testing.assert_array_equal(direct.coefficients, via_dispatch.coefficients)
+
+
+def duplicate_columns(x):
+    return np.hstack([x, x[:, : x.shape[1] // 2]])
+
+
+KERNEL_SHAPES = {
+    "D >= N": lambda rng: rng.standard_normal((12, 9)),
+    "D < N": lambda rng: rng.standard_normal((6, 40)),
+    "rank-deficient, D >= N": lambda rng: duplicate_columns(rng.standard_normal((20, 8))),
+    "rank-deficient, D < N": lambda rng: duplicate_columns(rng.standard_normal((7, 30))),
+}
+
+
+class TestLowRankKernel:
+    @pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+    def test_c_step_matches_dense_inverse(self, shape):
+        rng = np.random.default_rng(52)
+        x = KERNEL_SHAPES[shape](rng)
+        n = x.shape[1]
+        kernel = precompute_kernel(x, 0.3)
+        assert kernel.vt.shape == (min(x.shape), n)
+        z = rng.random((n, n))
+        delta = rng.standard_normal((n, n))
+        with ThreadPoolExecutor(1) as pool:
+            c = _c_step(kernel, z, delta, 0.5, pool, 1)
+        expected = kernel.inverse_factor @ (kernel.gram + 0.25 * z + 0.5 * delta)
+        np.testing.assert_allclose(c, expected, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
+    def test_lsr_matches_dense_inverse(self, shape):
+        x = KERNEL_SHAPES[shape](np.random.default_rng(53))
+        expected = regularized_gram_inverse(x, 0.1, mode="direct") @ (x.T @ x)
+        np.testing.assert_allclose(solve_lsr(x, 0.1), expected, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("model", ["ssrsc", "nlsr", "slsr"])
+    def test_solvers_never_materialise_n_by_n_factors(self, model, monkeypatch):
+        kernels = []
+
+        def recording(*args, **kwargs):
+            kernels.append(precompute_kernel(*args, **kwargs))
+            return kernels[-1]
+
+        monkeypatch.setattr(solvers, "precompute_kernel", recording)
+        x = np.random.default_rng(54).standard_normal((4, 30))
+        solve(x, SolverConfig(model=model, max_iters=20))
+        (kernel,) = kernels
+        assert "gram" not in vars(kernel) and "inverse_factor" not in vars(kernel)
+
+    @pytest.mark.parametrize("model", ["ssrsc", "nlsr", "slsr", "lsr"])
+    def test_huge_data_raises_numeric_error(self, model):
+        data = generate_synthetic(SyntheticSpec(30, 4, 3, 50, 0.05, seed=1)).data * 1e200
+        with pytest.raises(NumericError):
+            solve(data, SolverConfig(model=model))
+
+
+class TestZeroDiagonalStep:
+    def test_projects_each_column_without_its_diagonal_entry(self):
+        rng = np.random.default_rng(55)
+        n = 300
+        v = rng.standard_normal((n, n)) * 0.1
+        out = _project_off_diagonal(v, 0.5)
+        np.testing.assert_array_equal(np.diag(out), np.zeros(n))
+        for j in range(n):
+            off = np.delete(v[:, j], j)[:, None]
+            expected = _project_columns_simplex(off, 0.5)[:, 0]
+            np.testing.assert_allclose(np.delete(out[:, j], j), expected, rtol=0, atol=1e-15)
+
+    def test_fixture_solve_reaches_the_zero_diagonal_optimum(self):
+        x = generate_synthetic(SyntheticSpec(30, 4, 3, 50, 0.05, seed=1)).data
+        cfg = SolverConfig(model="ssrsc", zero_diagonal=True, max_iters=5000, tol=0.01)
+        result = solve(x, cfg)
+        assert result.converged
+        z = result.coefficients
+        gram = x.T @ x
+        gradient = 2.0 * (gram @ z - gram) + 2.0 * cfg.lam * z
+        objective = np.linalg.norm(x - x @ z) ** 2 + cfg.lam * np.linalg.norm(z) ** 2
+        # Frank-Wolfe gap over the feasible set {z_j on the simplex, z_jj = 0}
+        off_diagonal = gradient.copy()
+        np.fill_diagonal(off_diagonal, np.inf)
+        gap = np.sum(gradient * z) - cfg.s * off_diagonal.min(axis=0).sum()
+        assert gap <= 1e-3 * objective
