@@ -20,10 +20,12 @@ import numpy as np
 
 from .blas import single_blas_thread
 from .core import (
+    AFFINITY_MODES,
     ClusteringResult,
     ConfigError,
     DivergenceError,
     DomainError,
+    MODELS,
     NumericError,
     ParseError,
     ShapeError,
@@ -35,7 +37,6 @@ from .evaluate import clustering_error, run_ablation
 from .solvers import solve
 from .spectral import SpectralConfig, build_affinity, spectral_cluster
 
-ABLATION_MODELS = ("lsr", "nlsr", "slsr", "ssrsc")
 ABLATION_LAMBDAS = (0.001, 0.01, 0.1)
 
 
@@ -178,7 +179,7 @@ def _run_ablation_command(manifest: RunManifest, workers: int) -> None:
         dataset = LabeledDataset(data, dataset.labels)
     grid = [
         replace(manifest.solver, model=model, lam=lam)
-        for model in ABLATION_MODELS
+        for model in MODELS
         for lam in ABLATION_LAMBDAS
     ]
     report = run_ablation(dataset, grid, manifest.spectral, workers=workers)
@@ -192,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="simplexsc",
         description="Subspace clustering via simplex-constrained self-expression.",
     )
-    parser.add_argument("--model", choices=["ssrsc", "nlsr", "slsr", "lsr"], default="ssrsc")
+    parser.add_argument("--model", choices=MODELS, default="ssrsc")
     parser.add_argument("--lambda", dest="lam", type=float, default=0.01,
                         help="ridge regularization weight (default 0.01)")
     parser.add_argument("--s", type=float, default=0.5,
@@ -205,19 +206,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="ADMM residual tolerance (default 0.01)")
     parser.add_argument("--clusters", type=int, default=None,
                         help="number of clusters (default: subspace count for synthetic input)")
-    parser.add_argument("--affinity", choices=["sym", "abs"], default=None,
+    parser.add_argument("--affinity", choices=AFFINITY_MODES, default=None,
                         help="affinity construction (default sym; abs for --ablation)")
     parser.add_argument("--pca-dim", type=int, default=None,
                         help="project data to this dimension before solving")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for data generation and k-means (default 0)")
     parser.add_argument("--zero-diagonal", action="store_true",
-                        help="force zero self-representation (exact simplex projection "
-                             "of the off-diagonal entries)")
+                        help="force zero self-representation, ssrsc only (exact simplex "
+                             "projection of the off-diagonal entries)")
     parser.add_argument("--woodbury", choices=WOODBURY_MODES, default="auto",
-                        help="how an explicit ridge inverse would be materialised; the "
-                             "solvers use a thin-SVD kernel and give the same result "
-                             "for every value (default auto)")
+                        help="recorded in the result document; the solvers use a "
+                             "thin-SVD kernel and give the same result for every value "
+                             "(default auto)")
     parser.add_argument("--synthetic", metavar="D,d,n,ppc,sigma",
                         help="generate a union-of-subspaces sample instead of reading a file")
     parser.add_argument("--input", type=Path, help="row-per-sample CSV input")

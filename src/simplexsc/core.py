@@ -11,12 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MODELS = ("ssrsc", "nlsr", "slsr", "lsr")
-# The regularized_gram_inverse mode each use_woodbury setting selects. It
-# decides only how an explicit N x N ridge inverse is materialised, never what
-# a solver returns.
-WOODBURY_INVERSE_MODES = {"auto": "auto", "on": "woodbury", "off": "direct"}
-WOODBURY_MODES = tuple(WOODBURY_INVERSE_MODES)
+MODELS = ("lsr", "nlsr", "slsr", "ssrsc")
+# Accepted use_woodbury values. The setting is recorded in the result
+# document; no solver result depends on it.
+WOODBURY_MODES = ("auto", "on", "off")
 AFFINITY_MODES = ("sym", "abs")
 
 
@@ -75,6 +73,8 @@ class SolverConfig:
     ``lam`` is the ridge regularization weight, ``s`` the column-sum scale of
     the simplex/affine constraint, ``rho`` the ADMM penalty. ``max_iters`` and
     ``tol`` bound the ADMM loop (residuals are compared with <=).
+    ``zero_diagonal`` (ssrsc only) keeps every point out of its own
+    representation.
     """
 
     model: str = "ssrsc"
@@ -90,6 +90,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
+        if self.zero_diagonal and self.model != "ssrsc":
+            raise ConfigError(f"zero_diagonal applies to model 'ssrsc' only, got {self.model!r}")
         if self.use_woodbury not in WOODBURY_MODES:
             raise ConfigError(
                 f"use_woodbury must be one of {WOODBURY_MODES}, got {self.use_woodbury!r}"

@@ -8,10 +8,18 @@ differ only in the constraint set:
     slsr   columns sum to s
     ssrsc  columns on the scale-s simplex (>= 0 and sum to s)
 
-The three constrained models run the same ADMM skeleton: a ridge update of C
-against the current feasible iterate, a projection update of Z, and a dual
-ascent on the multiplier. The ridge system X^T X + shift*I is constant, so it
-is factored once up front by one thin SVD X = U S V^T (r = min(D, N)):
+The three constrained models run one ADMM core (Boyd et al. 2011): a ridge
+update of C against the current feasible iterate, a projection update of Z,
+and a dual ascent on the multiplier Delta. A model enters the core through a
+ridge shift, a scale and a projection alone, all taken from one table. nlsr
+puts lam on the C-step: shift (2*lam+rho)/2, and Z is C - Delta/rho clipped
+to C >= 0. ssrsc and slsr put it on the Z-step: shift rho/2, and Z is
+rho/(2*lam+rho) * (C - Delta/rho) projected onto the simplex or the
+hyperplane; ssrsc with ``zero_diagonal`` projects each column without its
+diagonal entry and sets that entry to 0.
+
+The ridge system X^T X + shift*I is constant, so it is factored once up front
+by one thin SVD X = U S V^T (r = min(D, N)):
 
     (X^T X + shift*I)^{-1} M = M/shift + V diag(1/(s^2+shift) - 1/shift) V^T M
 
@@ -19,8 +27,8 @@ A C-step then costs O(rN^2) per iteration instead of O(N^3), and no N x N
 inverse or Gram matrix is stored; lsr's closed form is V diag(s^2/(s^2+lam)) V^T.
 The explicit inverse stays available through ``regularized_gram_inverse``,
 optionally by the Woodbury identity, which swaps the N x N inversion for a
-D x D one; ``use_woodbury`` chooses only how that explicit inverse is
-materialised, not what a solver returns.
+D x D one. ``use_woodbury`` is validated and recorded, but it never changes
+what a solver returns.
 
 Solves run on one BLAS thread (see ``blas``), so their bits do not depend on
 the BLAS thread count. The C-step takes its parallelism instead from
@@ -43,10 +51,8 @@ from .core import (
     DivergenceError,
     NumericError,
     SolverConfig,
-    WOODBURY_INVERSE_MODES,
     WOODBURY_MODES,
     as_data_matrix,
-    frobenius_distance,
 )
 from .projections import (
     project_columns_scaled_affine,
@@ -168,7 +174,7 @@ def solve_lsr(x, lam: float, use_woodbury: str = "auto") -> np.ndarray:
         raise ConfigError(f"lam must be positive, got {lam}")
     if use_woodbury not in WOODBURY_MODES:
         raise ConfigError(f"use_woodbury must be one of {WOODBURY_MODES}, got {use_woodbury!r}")
-    kernel = precompute_kernel(x, lam, WOODBURY_INVERSE_MODES[use_woodbury])
+    kernel = precompute_kernel(x, lam)
     return kernel.vt.T @ (kernel.ridge[:, None] * kernel.vt)
 
 
@@ -210,51 +216,6 @@ def _c_step(kernel: PrecomputedKernel, z, delta, rho: float, pool, workers: int)
     return c
 
 
-def _admm_loop(x: np.ndarray, cfg: SolverConfig, shift: float, z_update) -> SolveResult:
-    """Shared ADMM skeleton: ridge C-step, projection Z-step, dual ascent.
-
-    All three iterates start at zero. Stops when the equality-gap and both
-    successive-change residuals are simultaneously <= tol, or after
-    max_iters iterations. Returns Z, the iterate that satisfies the model's
-    constraints exactly.
-    """
-    mode = WOODBURY_INVERSE_MODES[cfg.use_woodbury]
-    n = x.shape[1]
-    blocks = -(-n // CSTEP_BLOCK)
-    workers = min(_usable_cores(), blocks) if blocks >= SPREAD_MIN_BLOCKS else 1
-    with single_blas_thread(), ThreadPoolExecutor(max(workers - 1, 1)) as pool:
-        kernel = precompute_kernel(x, shift, mode)
-        c = np.zeros((n, n))
-        z = np.zeros((n, n))
-        delta = np.zeros((n, n))
-        history: list[tuple[float, float, float]] = []
-        converged = False
-        for _ in range(cfg.max_iters):
-            c_next = _c_step(kernel, z, delta, cfg.rho, pool, workers)
-            if not np.all(np.isfinite(c_next)):
-                raise DivergenceError("ADMM iterates became non-finite")
-            # Taken now so that the previous C can be freed before the Z-step.
-            c_change = frobenius_distance(c_next, c)
-            c = c_next
-            z_next = z_update(c, delta)
-            step = np.subtract(z_next, c)
-            step *= cfg.rho
-            delta += step
-            del step
-            history.append((frobenius_distance(c, z_next), c_change, frobenius_distance(z_next, z)))
-            z = z_next
-            if max(history[-1]) <= cfg.tol:
-                converged = True
-                break
-    return SolveResult(coefficients=z, residual_history=history, converged=converged)
-
-
-def _dual_shifted(c: np.ndarray, delta: np.ndarray, rho: float) -> np.ndarray:
-    """C - Delta/rho in one new array (each N x N temporary costs time and peak memory)."""
-    v = delta / rho
-    return np.subtract(c, v, out=v)
-
-
 def _project_off_diagonal(v: np.ndarray, s: float) -> np.ndarray:
     """Project each column of a square v, without its diagonal entry, onto the scale-s simplex.
 
@@ -272,66 +233,93 @@ def _project_off_diagonal(v: np.ndarray, s: float) -> np.ndarray:
     return out
 
 
-def solve_ssrsc(x, cfg: SolverConfig) -> SolveResult:
-    """ADMM for ridge self-expression with scale-s simplex columns.
+# Per constrained model: whether lam rides on the C-step (in the ridge shift)
+# rather than on the Z-step (as a scale of its input), and the Z-step
+# projection. The projections name this module's globals, looked up at call
+# time, so that a tracer can swap them.
+_ADMM_MODELS = {
+    "nlsr": (True, lambda v, cfg: project_nonneg(v)),
+    "slsr": (False, lambda v, cfg: project_columns_scaled_affine(v, cfg.s)),
+    "ssrsc": (
+        False,
+        lambda v, cfg: (
+            _project_off_diagonal(v, cfg.s)
+            if cfg.zero_diagonal
+            else project_columns_scaled_simplex(v, cfg.s)
+        ),
+    ),
+}
 
-    The Z-step projects each column of rho/(2*lam+rho) * (C - Delta/rho)
-    onto the scale-s simplex; with cfg.zero_diagonal it projects each column
-    without its diagonal entry and sets the diagonal to 0, the exact
-    projection onto simplex columns with a zero diagonal.
+
+def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
+    """ADMM for a constrained model: ridge C-step, projection Z-step, dual ascent.
+
+    All three iterates start at zero. The Z-step projects scale * (C - Delta/rho).
+    Stops when the equality gap and both successive-change residuals are
+    simultaneously <= tol, or after max_iters iterations. Returns Z, the
+    iterate that satisfies the model's constraints exactly.
     """
-    if cfg.model != "ssrsc":
-        raise ConfigError(f"solve_ssrsc requires model 'ssrsc', got {cfg.model!r}")
+    if cfg.model != model:
+        raise ConfigError(f"solve_{model} requires model {model!r}, got {cfg.model!r}")
     x = as_data_matrix(x)
-    if cfg.zero_diagonal and x.shape[1] < 2:
+    n = x.shape[1]
+    if cfg.zero_diagonal and n < 2:
         raise ConfigError("zero_diagonal needs at least 2 points to keep columns feasible")
-    scale = cfg.rho / (2.0 * cfg.lam + cfg.rho)
+    lam_on_c_step, project = _ADMM_MODELS[model]
+    if lam_on_c_step:
+        shift, scale = 0.5 * (2.0 * cfg.lam + cfg.rho), 1.0
+    else:
+        shift, scale = 0.5 * cfg.rho, cfg.rho / (2.0 * cfg.lam + cfg.rho)
+    blocks = -(-n // CSTEP_BLOCK)
+    workers = min(_usable_cores(), blocks) if blocks >= SPREAD_MIN_BLOCKS else 1
+    with single_blas_thread(), ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        kernel = precompute_kernel(x, shift)
+        c = np.zeros((n, n))
+        z = np.zeros((n, n))
+        delta = np.zeros((n, n))
+        history: list[tuple[float, float, float]] = []
+        converged = False
+        for _ in range(cfg.max_iters):
+            c_next = _c_step(kernel, z, delta, cfg.rho, pool, workers)
+            if not np.all(np.isfinite(c_next)):
+                raise DivergenceError("ADMM iterates became non-finite")
+            # Each residual is the norm of a difference formed in an array
+            # that is free by then: a - b is exactly -(b - a), so no N x N
+            # temporary is needed for it. The previous C goes before the Z-step.
+            c_change = float(np.linalg.norm(np.subtract(c, c_next, out=c)))
+            c = c_next
+            v = delta / cfg.rho
+            np.subtract(c, v, out=v)
+            v *= scale
+            z_next = project(v, cfg)
+            del v
+            step = np.subtract(z_next, c)
+            gap = float(np.linalg.norm(step))
+            step *= cfg.rho
+            delta += step
+            del step
+            z_change = float(np.linalg.norm(np.subtract(z, z_next, out=z)))
+            z = z_next
+            history.append((gap, c_change, z_change))
+            if max(history[-1]) <= cfg.tol:
+                converged = True
+                break
+    return SolveResult(coefficients=z, residual_history=history, converged=converged)
 
-    def z_update(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        v = _dual_shifted(c, delta, cfg.rho)
-        v *= scale
-        if cfg.zero_diagonal:
-            return _project_off_diagonal(v, cfg.s)
-        return project_columns_scaled_simplex(v, cfg.s)
 
-    return _admm_loop(x, cfg, shift=0.5 * cfg.rho, z_update=z_update)
+def solve_ssrsc(x, cfg: SolverConfig) -> SolveResult:
+    """ADMM with scale-s simplex columns; with cfg.zero_diagonal also a zero diagonal."""
+    return _solve_admm(x, cfg, "ssrsc")
 
 
 def solve_nlsr(x, cfg: SolverConfig) -> SolveResult:
-    """ADMM for ridge self-expression with non-negative coefficients.
-
-    The regularizer rides on the C-step here, so the ridge shift is
-    (2*lam+rho)/2 and the Z-step is a plain clip of C - Delta/rho to the
-    non-negative orthant.
-    """
-    if cfg.model != "nlsr":
-        raise ConfigError(f"solve_nlsr requires model 'nlsr', got {cfg.model!r}")
-    x = as_data_matrix(x)
-
-    def z_update(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        return project_nonneg(_dual_shifted(c, delta, cfg.rho))
-
-    return _admm_loop(x, cfg, shift=0.5 * (2.0 * cfg.lam + cfg.rho), z_update=z_update)
+    """ADMM with non-negative coefficients (lam on the C-step, a clip as the Z-step)."""
+    return _solve_admm(x, cfg, "nlsr")
 
 
 def solve_slsr(x, cfg: SolverConfig) -> SolveResult:
-    """ADMM for ridge self-expression with columns summing to s.
-
-    Identical to the simplex solver except the Z-step projects onto the
-    sum-to-s hyperplane (a uniform shift, no clipping), so coefficients may
-    go negative.
-    """
-    if cfg.model != "slsr":
-        raise ConfigError(f"solve_slsr requires model 'slsr', got {cfg.model!r}")
-    x = as_data_matrix(x)
-    scale = cfg.rho / (2.0 * cfg.lam + cfg.rho)
-
-    def z_update(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        v = _dual_shifted(c, delta, cfg.rho)
-        v *= scale
-        return project_columns_scaled_affine(v, cfg.s)
-
-    return _admm_loop(x, cfg, shift=0.5 * cfg.rho, z_update=z_update)
+    """ADMM with columns summing to s (a uniform shift as the Z-step; entries may go negative)."""
+    return _solve_admm(x, cfg, "slsr")
 
 
 def solve(x, cfg: SolverConfig) -> SolveResult:
@@ -342,5 +330,4 @@ def solve(x, cfg: SolverConfig) -> SolveResult:
             residual_history=[],
             converged=True,
         )
-    runner = {"ssrsc": solve_ssrsc, "nlsr": solve_nlsr, "slsr": solve_slsr}[cfg.model]
-    return runner(x, cfg)
+    return _solve_admm(x, cfg, cfg.model)

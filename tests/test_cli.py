@@ -5,7 +5,7 @@ import pytest
 
 from simplexsc import SyntheticSpec, generate_synthetic, save_csv
 from simplexsc.cli import main, parse_synthetic_spec
-from simplexsc.core import ConfigError
+from simplexsc.core import MODELS, ConfigError
 
 FIXTURE = ["--synthetic", "12,2,2,8,0.01", "--seed", "7"]
 
@@ -125,3 +125,20 @@ class TestAblationCommand:
         rows = out.read_text().strip().splitlines()
         assert len(rows) == 1 + 12  # header + 4 models x 3 lambdas
         assert rows[0].startswith("model,lambda,s,")
+
+    def test_grid_rows_follow_model_order(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        assert main(FIXTURE + ["--ablation", "--output", str(out)]) == 0
+        models = [row.split(",")[0] for row in out.read_text().strip().splitlines()[1:]]
+        assert models == [m for m in MODELS for _ in range(3)]
+
+
+class TestZeroDiagonalFlag:
+    def test_rejected_outside_ssrsc(self, capsys):
+        assert main(FIXTURE + ["--model", "nlsr", "--zero-diagonal"]) == 2
+        assert capsys.readouterr().err.startswith("error: config: ")
+
+    def test_rejected_by_the_ablation_grid(self, capsys):
+        # The grid runs every model, and zero_diagonal applies to ssrsc alone.
+        assert main(FIXTURE + ["--ablation", "--zero-diagonal"]) == 2
+        assert capsys.readouterr().err.startswith("error: config: ")

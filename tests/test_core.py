@@ -110,6 +110,12 @@ class TestSolverConfig:
         with pytest.raises(ConfigError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("model", ["lsr", "nlsr", "slsr"])
+    def test_zero_diagonal_is_ssrsc_only(self, model):
+        with pytest.raises(ConfigError, match="zero_diagonal"):
+            SolverConfig(model=model, zero_diagonal=True)
+        assert SolverConfig(model="ssrsc", zero_diagonal=True).zero_diagonal
+
     @given(
         lam=st.floats(1e-6, 1e3),
         s=st.floats(1e-6, 10.0),

@@ -19,6 +19,7 @@ from simplexsc import (
     solve_ssrsc,
 )
 from simplexsc import solvers
+from simplexsc.core import MODELS
 from simplexsc.solvers import _c_step, _project_off_diagonal
 
 from oracles import (
@@ -278,6 +279,42 @@ class TestDispatch:
         direct = {"ssrsc": solve_ssrsc, "nlsr": solve_nlsr, "slsr": solve_slsr}[model](x, cfg)
         via_dispatch = solve(x, cfg)
         np.testing.assert_array_equal(direct.coefficients, via_dispatch.coefficients)
+
+
+class TestAdmmCore:
+    def test_one_table_covers_every_model(self):
+        assert set(solvers._ADMM_MODELS) | {"lsr"} == set(MODELS)
+
+    @pytest.mark.parametrize(
+        "model, name",
+        [
+            ("nlsr", "project_nonneg"),
+            ("slsr", "project_columns_scaled_affine"),
+            ("ssrsc", "project_columns_scaled_simplex"),
+        ],
+    )
+    def test_projection_is_looked_up_at_call_time(self, model, name, monkeypatch):
+        original = getattr(solvers, name)
+        calls = []
+
+        def swapped(*args):
+            calls.append(args[0].shape)
+            return original(*args)
+
+        monkeypatch.setattr(solvers, name, swapped)
+        solve(np.random.default_rng(56).standard_normal((3, 7)), SolverConfig(model=model, max_iters=3))
+        assert calls == [(7, 7)] * 3
+
+    @pytest.mark.parametrize("model", ["ssrsc", "nlsr", "slsr"])
+    def test_z_change_is_the_distance_between_iterates(self, model):
+        x = np.random.default_rng(57).standard_normal((4, 12))
+        history = solve(x, SolverConfig(model=model, max_iters=6, tol=1e-12)).residual_history
+        iterates = [np.zeros((12, 12))] + [
+            solve(x, SolverConfig(model=model, max_iters=k, tol=1e-12)).coefficients for k in range(1, 7)
+        ]
+        assert len(history) == 6
+        for k, (_, _, z_change) in enumerate(history):
+            assert z_change == frobenius_distance(iterates[k + 1], iterates[k])
 
 
 def duplicate_columns(x):
