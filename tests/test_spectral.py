@@ -1,17 +1,32 @@
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexsc import (
     ConfigError,
     NumericError,
     ShapeError,
+    SolverConfig,
     SpectralConfig,
+    SyntheticSpec,
     build_affinity,
     clustering_error,
+    generate_synthetic,
     kmeans,
+    run_ablation,
+    solve,
     spectral_cluster,
     symmetric_eigendecomposition,
 )
+from simplexsc import spectral
 from simplexsc.spectral import _lloyd
 
 
@@ -191,3 +206,263 @@ class TestKmeans:
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigError):
             kmeans(np.zeros((3, 2)), 4)
+
+
+def planted_graph(sizes, rng, leak=0.0, isolated=0):
+    """Symmetric non-negative affinity with one connected block per entry of sizes.
+
+    Each block is a ring plus random edges; ``leak`` adds weak edges between
+    blocks and ``isolated`` appends points of zero degree.
+    """
+    n = int(sum(sizes)) + isolated
+    a = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        block = rng.random((size, size)) * (rng.random((size, size)) < 0.05)
+        idx = np.arange(size)
+        block[idx, (idx + 1) % size] += 1.0
+        a[start : start + size, start : start + size] = block
+        start += size
+    if leak:
+        a[: start, : start] += leak * rng.random((start, start)) * (rng.random((start, start)) < 0.01)
+    a = (a + a.T) / 2.0
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def block_truth(sizes):
+    return np.repeat(np.arange(len(sizes)), sizes)
+
+
+def dense_labels(monkeypatch, a, cfg):
+    """spectral_cluster's labels with the dense eigensolve at every N."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "SPARSE_EIGEN_MIN_N", a.shape[0] + 1)
+        return spectral_cluster(a, cfg)
+
+
+def record_eigensolves(monkeypatch):
+    """Swap in a symmetric_eigendecomposition that records its inputs."""
+    calls = []
+    original = spectral.symmetric_eigendecomposition
+
+    def recording(m, count=None):
+        calls.append(m)
+        return original(m, count)
+
+    monkeypatch.setattr(spectral, "symmetric_eigendecomposition", recording)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def fixture_1200():
+    """Affinity of the ssrsc solve of a noiseless N=1200 fixture (4 subspaces)."""
+    dataset = generate_synthetic(SyntheticSpec(40, 4, 4, 300, 0.01, seed=7))
+    solved = solve(dataset.data, SolverConfig())
+    return build_affinity(solved.coefficients, "sym"), dataset.labels
+
+
+class TestSparseEigendecomposition:
+    def laplacian(self, seed=0):
+        rng = np.random.default_rng(seed)
+        a = planted_graph([300, 400, 500], rng, leak=0.05)
+        degrees = a.sum(axis=1)
+        lap = np.eye(a.shape[0]) - a / np.sqrt(np.outer(degrees, degrees))
+        return (lap + lap.T) / 2.0
+
+    def test_matches_dense_subset_eigh(self):
+        lap = self.laplacian()
+        for count in (1, 3, 6):
+            dense_values, dense_vectors = symmetric_eigendecomposition(lap, count)
+            values, vectors = symmetric_eigendecomposition(scipy.sparse.csr_array(lap), count)
+            np.testing.assert_allclose(values, dense_values, rtol=0, atol=1e-10)
+            cosines = np.linalg.svd(dense_vectors.T @ vectors, compute_uv=False)
+            assert cosines.min() >= 1.0 - 1e-10
+            np.testing.assert_allclose(vectors.T @ vectors, np.eye(count), atol=1e-10)
+
+    def test_repeats_bit_for_bit(self):
+        # The second Laplacian has a 5-dimensional null space, so its
+        # bottom 4 eigenvectors are one basis chosen by the solver.
+        blocks = scipy.sparse.csr_array(np.kron(np.eye(5), np.ones((240, 240))))
+        for lap in (
+            scipy.sparse.csr_array(self.laplacian(1)),
+            scipy.sparse.eye_array(1200, format="csr") - blocks / 240.0,
+        ):
+            first = symmetric_eigendecomposition(lap, 4)
+            second = symmetric_eigendecomposition(lap, 4)
+            np.testing.assert_array_equal(first[0], second[0])
+            np.testing.assert_array_equal(first[1], second[1])
+
+    def test_finds_every_copy_of_a_repeated_eigenvalue(self):
+        # 8 identical components: a start vector of ones or sqrt(degree)
+        # returned 0 once and then the next eigenvalue of each block
+        block = np.ones((150, 150)) - np.eye(150)
+        a = scipy.sparse.block_diag([block] * 8, format="csr")
+        lap = scipy.sparse.eye_array(1200, format="csr") - a / 149.0
+        values, vectors = symmetric_eigendecomposition(lap, 5)
+        np.testing.assert_allclose(values, np.zeros(5), atol=1e-10)
+        np.testing.assert_allclose(lap @ vectors, np.zeros((1200, 5)), atol=1e-10)
+
+    def test_count_near_n_is_solved_densely(self):
+        rng = np.random.default_rng(2)
+        m = rng.standard_normal((6, 6))
+        m = (m + m.T) / 2.0
+        for count in (None, 5, 6):
+            values, _ = symmetric_eigendecomposition(scipy.sparse.csr_array(m), count)
+            np.testing.assert_allclose(values, symmetric_eigendecomposition(m, count)[0], atol=1e-12)
+
+    def test_rejects_asymmetric(self):
+        m = scipy.sparse.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ShapeError):
+            symmetric_eigendecomposition(m, 1)
+
+    def test_rejects_rectangular(self):
+        with pytest.raises(ShapeError):
+            symmetric_eigendecomposition(scipy.sparse.csr_array(np.ones((2, 3))), 1)
+
+    def test_rejects_count_out_of_range(self):
+        m = scipy.sparse.eye_array(5, format="csr")
+        for count in (0, 6):
+            with pytest.raises(ConfigError):
+                symmetric_eigendecomposition(m, count)
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            m = scipy.sparse.eye_array(5, format="csr")
+            m.data[2] = bad
+            with pytest.raises(NumericError):
+                symmetric_eigendecomposition(m, 2)
+
+    def test_arpack_errors_are_numeric_errors(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+        with pytest.raises(NumericError):
+            symmetric_eigendecomposition(scipy.sparse.eye_array(5, format="csr"), 2)
+
+
+class TestSparseSpectralCluster:
+    def test_large_graph_takes_lanczos(self, monkeypatch, fixture_1200):
+        a, truth = fixture_1200
+        calls = record_eigensolves(monkeypatch)
+        labels = spectral_cluster(a, SpectralConfig(n_clusters=4, seed=7))
+        assert [scipy.sparse.issparse(m) for m in calls] == [True]
+        assert clustering_error(labels, truth) == 0.0
+
+    def test_labels_equal_the_dense_path(self, monkeypatch, fixture_1200):
+        a, _ = fixture_1200
+        for seed in (0, 7):
+            cfg = SpectralConfig(n_clusters=4, seed=seed)
+            np.testing.assert_array_equal(spectral_cluster(a, cfg), dense_labels(monkeypatch, a, cfg))
+
+    def test_exactly_k_identical_blocks_split_exactly(self, monkeypatch):
+        sizes = [240] * 5
+        a = np.kron(np.eye(5), np.ones((240, 240)))
+        calls = record_eigensolves(monkeypatch)
+        labels = spectral_cluster(a, SpectralConfig(n_clusters=5, seed=0))
+        assert [scipy.sparse.issparse(m) for m in calls] == [True]
+        assert clustering_error(labels, block_truth(sizes)) == 0.0
+
+    def test_more_components_than_k_take_the_dense_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        a = planted_graph([200] * 6, rng, isolated=3)
+        a[5, 7] = a[7, 5] = -1e-3  # a signed entry
+        cfg = SpectralConfig(n_clusters=4, seed=1)
+        expected = dense_labels(monkeypatch, a, cfg)
+        calls = record_eigensolves(monkeypatch)
+        labels = spectral_cluster(a, cfg)
+        assert [scipy.sparse.issparse(m) for m in calls] == [False]
+        np.testing.assert_array_equal(labels, expected)
+        # the CSR Laplacian has the bits of the dense formula
+        degrees = a.sum(axis=1)
+        inv_sqrt = np.zeros(a.shape[0])
+        inv_sqrt[degrees > 0] = 1.0 / np.sqrt(degrees[degrees > 0])
+        lap = np.eye(a.shape[0]) - inv_sqrt[:, None] * a * inv_sqrt[None, :]
+        np.testing.assert_array_equal(calls[0], (lap + lap.T) / 2.0)
+
+    def test_no_convergence_falls_back_to_the_dense_result(self, monkeypatch, fixture_1200):
+        a, _ = fixture_1200
+        cfg = SpectralConfig(n_clusters=4, seed=2)
+        expected = dense_labels(monkeypatch, a, cfg)
+
+        def stalling(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalling)
+        calls = record_eigensolves(monkeypatch)
+        labels = spectral_cluster(a, cfg)
+        assert [scipy.sparse.issparse(m) for m in calls] == [True, False]
+        np.testing.assert_array_equal(labels, expected)
+
+    def test_other_arpack_errors_are_raised(self, monkeypatch, fixture_1200):
+        a, _ = fixture_1200
+
+        def failing(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+        with pytest.raises(NumericError):
+            spectral_cluster(a, SpectralConfig(n_clusters=4, seed=0))
+
+    def test_large_asymmetric_graph_is_rejected(self, fixture_1200):
+        a = fixture_1200[0].copy()
+        a[0, 1] += 1e-6
+        with pytest.raises(ShapeError):
+            spectral_cluster(a, SpectralConfig(n_clusters=4))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 5),
+        extra_blocks=st.integers(0, 3),
+        isolated=st.integers(0, 3),
+        large=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_graphs_with_at_least_k_components(self, seed, k, extra_blocks, isolated, large):
+        rng = np.random.default_rng(seed)
+        n_blocks = k + extra_blocks
+        total = int(rng.integers(spectral.SPARSE_EIGEN_MIN_N, 1300) if large else rng.integers(64, 200))
+        sizes = 4 + rng.multinomial(total - 4 * n_blocks, np.full(n_blocks, 1.0 / n_blocks))
+        a = planted_graph(sizes, rng, isolated=isolated)
+        cfg = SpectralConfig(n_clusters=k, seed=seed % 1000)
+        labels = spectral_cluster(a, cfg)
+        assert labels.shape == (a.shape[0],)
+        assert labels.min() >= 0 and labels.max() < k
+        np.testing.assert_array_equal(spectral_cluster(a, cfg), labels)
+        if extra_blocks == 0 and isolated == 0:
+            assert clustering_error(labels, block_truth(sizes)) == 0.0
+
+
+class TestSparseDeterminism:
+    def test_cli_document_is_the_same_for_one_and_four_blas_threads(self, tmp_path):
+        documents = []
+        for threads in ("1", "4"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            path = tmp_path / f"threads{threads}.txt"
+            proc = subprocess.run(
+                [sys.executable, "-m", "simplexsc.cli", "--synthetic", "40,4,4,300,0.01",
+                 "--seed", "7", "--output", str(path)],
+                capture_output=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            documents.append(path.read_bytes())
+        assert documents[0] == documents[1]
+
+    def test_ablation_workers_do_not_change_results(self):
+        dataset = generate_synthetic(SyntheticSpec(40, 4, 4, 250, 0.1, seed=5))
+        grid = [SolverConfig(model="ssrsc"), SolverConfig(model="slsr", lam=0.1)]
+        spectral_cfg = SpectralConfig(n_clusters=4, affinity_mode="abs", seed=5)
+        serial = run_ablation(dataset, grid, spectral_cfg, workers=1)
+        threaded = run_ablation(dataset, grid, spectral_cfg, workers=2)
+        assert all(row.failure is None for row in serial.rows + threaded.rows)
+        assert [r.error_rate for r in serial.rows] == [r.error_rate for r in threaded.rows]
+
+    def test_concurrent_calls_give_the_serial_labels(self, fixture_1200):
+        a, _ = fixture_1200
+        cfg = SpectralConfig(n_clusters=4, seed=3)
+        serial = spectral_cluster(a, cfg)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(lambda _: spectral_cluster(a, cfg), range(4)))
+        for labels in results:
+            np.testing.assert_array_equal(labels, serial)
