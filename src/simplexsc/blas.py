@@ -4,8 +4,7 @@ Multi-threaded OpenBLAS splits GEMM, SYRK and dot products among its threads,
 and the split changes the order in which partial sums are added: the same
 product differs in its last bits between 1 and 2 threads. The pipeline, the
 solvers and spectral clustering therefore run inside ``single_blas_thread``,
-and take their parallelism from fixed-width column blocks and ablation
-workers instead.
+and take their only parallelism from ablation workers.
 
 The OpenBLAS builds that the Linux numpy and scipy wheels bundle (in
 ``numpy.libs`` and ``scipy.libs``) are controlled through their own

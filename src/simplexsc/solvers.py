@@ -8,13 +8,13 @@ differ only in the constraint set:
     slsr   columns sum to s
     ssrsc  columns on the scale-s simplex (>= 0 and sum to s)
 
-The three constrained models run one ADMM core (Boyd et al. 2011): a ridge
-update of C against the current feasible iterate, a projection update of Z,
-and a dual ascent on the multiplier Delta. A model enters the core through a
-ridge shift, a scale and a projection alone, all taken from one table. nlsr
-puts lam on the C-step: shift (2*lam+rho)/2, and Z is C - Delta/rho clipped
-to C >= 0. ssrsc and slsr put it on the Z-step: shift rho/2, and Z is
-rho/(2*lam+rho) * (C - Delta/rho) projected onto the simplex or the
+The three constrained models run one ADMM core in scaled form (Boyd et al.
+2011): a ridge update of C against the current feasible iterate, a projection
+update of Z, and a dual ascent on the scaled multiplier U = Delta/rho. A model
+enters the core through a ridge shift, a scale and a projection alone, all
+taken from one table. nlsr puts lam on the C-step: shift (2*lam+rho)/2, and Z
+is C - U clipped to C >= 0. ssrsc and slsr put it on the Z-step: shift rho/2,
+and Z is rho/(2*lam+rho) * (C - U) projected onto the simplex or the
 hyperplane; ssrsc with ``zero_diagonal`` projects each column without its
 diagonal entry and sets that entry to 0.
 
@@ -30,16 +30,12 @@ optionally by the Woodbury identity, which swaps the N x N inversion for a
 D x D one. ``use_woodbury`` is validated and recorded, but it never changes
 what a solver returns.
 
-Solves run on one BLAS thread (see ``blas``), so their bits do not depend on
-the BLAS thread count. The C-step takes its parallelism instead from
-fixed-width column blocks, shared among the cores the process may use when
-there are enough of them.
+Solves run on one thread and one BLAS thread (see ``blas``), so their bits do
+not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -61,17 +57,6 @@ from .projections import (
 )
 
 GRAM_INVERSE_MODES = ("direct", "woodbury", "auto")
-
-# Columns per C-step block. Each block is one single-threaded product, so a
-# column's bits depend on this width alone, never on how many workers share
-# the blocks; it is a constant for that reason.
-CSTEP_BLOCK = 256
-# Blocks are spread over the usable cores only from this many blocks on. On a
-# 2-core machine, handing blocks to a second thread slowed the Python-bound
-# Z-step that follows by up to 8 ms per iteration, which the shared product
-# won back only from about N = 800 on (N = 400 lost, 1000 and 1500 gained 11%).
-SPREAD_MIN_BLOCKS = 4
-
 
 @dataclass(frozen=True)
 class PrecomputedKernel:
@@ -178,42 +163,20 @@ def solve_lsr(x, lam: float, use_woodbury: str = "auto") -> np.ndarray:
     return kernel.vt.T @ (kernel.ridge[:, None] * kernel.vt)
 
 
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _c_step(kernel: PrecomputedKernel, z, u, weight: float) -> np.ndarray:
+    """(X^T X + shift*I)^{-1} (X^T X + R) with R = rho/2 * (Z + U), U = Delta/rho.
 
-
-def _c_step(kernel: PrecomputedKernel, z, delta, rho: float, pool, workers: int) -> np.ndarray:
-    """(X^T X + shift*I)^{-1} (X^T X + R) with R = rho/2 * Z + Delta/2, one CSTEP_BLOCK of columns at a time.
-
-    Through the kernel's factors a block is Q + V diag(ridge) (V^T[:, cols] - V^T Q)
-    with Q = R/shift: 4rN^2 flops per step. Worker w takes blocks w,
-    w + workers, ...; the calling thread is worker 0.
+    Through the kernel's factors this is Q + V diag(ridge) (V^T - V^T Q) with
+    Q = R/shift = weight * (Z + U), weight = rho/(2*shift): 4rN^2 flops.
     """
-    n = z.shape[1]
-    c = np.empty((n, n))
-    starts = range(0, n, CSTEP_BLOCK)
-    vt, ridge = kernel.vt, kernel.ridge[:, None]
-    z_weight, delta_weight = 0.5 * rho / kernel.shift, 0.5 / kernel.shift
-
-    def run(share) -> None:
-        for start in share:
-            cols = slice(start, start + CSTEP_BLOCK)
-            q = z[:, cols] * z_weight
-            q += delta[:, cols] * delta_weight
-            inner = vt @ q
-            np.subtract(vt[:, cols], inner, out=inner)
-            inner *= ridge
-            block = vt.T @ inner
-            block += q
-            c[:, cols] = block
-
-    futures = [pool.submit(run, starts[w::workers]) for w in range(1, workers)]
-    run(starts[::workers])
-    for future in futures:
-        future.result()
-    return c
+    q = np.add(z, u)
+    if weight != 1.0:  # ssrsc and slsr have weight 1: no pass over N x N for it
+        q *= weight
+    inner = kernel.vt @ q
+    np.subtract(kernel.vt, inner, out=inner)
+    inner *= kernel.ridge[:, None]
+    q += kernel.vt.T @ inner
+    return q
 
 
 def _project_off_diagonal(v: np.ndarray, s: float) -> np.ndarray:
@@ -252,12 +215,14 @@ _ADMM_MODELS = {
 
 
 def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
-    """ADMM for a constrained model: ridge C-step, projection Z-step, dual ascent.
+    """ADMM for a constrained model in scaled form: ridge C-step, projection Z-step, dual ascent.
 
-    All three iterates start at zero. The Z-step projects scale * (C - Delta/rho).
-    Stops when the equality gap and both successive-change residuals are
-    simultaneously <= tol, or after max_iters iterations. Returns Z, the
-    iterate that satisfies the model's constraints exactly.
+    The multiplier is kept scaled, U = Delta/rho (Boyd et al. 2011, sec. 3.1.1).
+    All three iterates start at zero. The Z-step projects scale * (C - U) and
+    the dual step is U += Z - C. Stops when the equality gap and both
+    successive-change residuals are simultaneously <= tol, or after max_iters
+    iterations. Returns Z, the iterate that satisfies the model's constraints
+    exactly.
     """
     if cfg.model != model:
         raise ConfigError(f"solve_{model} requires model {model!r}, got {cfg.model!r}")
@@ -270,34 +235,34 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
         shift, scale = 0.5 * (2.0 * cfg.lam + cfg.rho), 1.0
     else:
         shift, scale = 0.5 * cfg.rho, cfg.rho / (2.0 * cfg.lam + cfg.rho)
-    blocks = -(-n // CSTEP_BLOCK)
-    workers = min(_usable_cores(), blocks) if blocks >= SPREAD_MIN_BLOCKS else 1
-    with single_blas_thread(), ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+    weight = 0.5 * cfg.rho / shift
+    with single_blas_thread():
         kernel = precompute_kernel(x, shift)
         c = np.zeros((n, n))
         z = np.zeros((n, n))
-        delta = np.zeros((n, n))
+        u = np.zeros((n, n))
         history: list[tuple[float, float, float]] = []
         converged = False
         for _ in range(cfg.max_iters):
-            c_next = _c_step(kernel, z, delta, cfg.rho, pool, workers)
+            c_next = _c_step(kernel, z, u, weight)
             if not np.all(np.isfinite(c_next)):
                 raise DivergenceError("ADMM iterates became non-finite")
-            # Each residual is the norm of a difference formed in an array
-            # that is free by then: a - b is exactly -(b - a), so no N x N
-            # temporary is needed for it. The previous C goes before the Z-step.
+            # The residuals, the Z-step input and the dual step take no new
+            # N x N array (a fresh one costs its page zeroing, ~7 ms at
+            # N = 3000): the previous C's array holds C_k - C_k+1, then
+            # scale * (C - U), then Z - C (every projection returns a new
+            # array), and is freed before the next C-step; the previous Z's
+            # holds Z_k - Z_k+1. a - b is exactly -(b - a), so the norms are
+            # unchanged.
             c_change = float(np.linalg.norm(np.subtract(c, c_next, out=c)))
+            v = np.subtract(c_next, u, out=c)
             c = c_next
-            v = delta / cfg.rho
-            np.subtract(c, v, out=v)
             v *= scale
             z_next = project(v, cfg)
-            del v
-            step = np.subtract(z_next, c)
+            step = np.subtract(z_next, c, out=v)
             gap = float(np.linalg.norm(step))
-            step *= cfg.rho
-            delta += step
-            del step
+            u += step
+            del v, step
             z_change = float(np.linalg.norm(np.subtract(z, z_next, out=z)))
             z = z_next
             history.append((gap, c_change, z_change))

@@ -1,8 +1,6 @@
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from simplexsc import (
@@ -11,14 +9,12 @@ from simplexsc import (
     SyntheticSpec,
     build_affinity,
     generate_synthetic,
-    precompute_kernel,
     run_ablation,
     solve,
     spectral_cluster,
 )
 from simplexsc.blas import controllable_openblas, single_blas_thread
 from simplexsc.cli import RunManifest, run_pipeline
-from simplexsc.solvers import CSTEP_BLOCK, _c_step
 
 pytestmark = pytest.mark.skipif(
     not controllable_openblas(), reason="no controllable OpenBLAS is loaded"
@@ -109,17 +105,3 @@ def test_library_entry_points_restore_prior_counts(prior_counts, tmp_path):
     ))
     assert blas_thread_counts() == prior_counts
 
-
-def test_blocked_cstep_is_bitwise_equal_for_one_and_two_workers():
-    n = 600
-    assert n > 2 * CSTEP_BLOCK
-    rng = np.random.default_rng(60)
-    kernel = precompute_kernel(rng.standard_normal((40, n)), 0.25)
-    z = rng.random((n, n))
-    delta = rng.standard_normal((n, n))
-    with single_blas_thread(), ThreadPoolExecutor(1) as pool:
-        one = _c_step(kernel, z, delta, 0.5, pool, 1)
-        two = _c_step(kernel, z, delta, 0.5, pool, 2)
-    np.testing.assert_array_equal(one, two)
-    expected = kernel.inverse_factor @ (kernel.gram + 0.25 * z + 0.5 * delta)
-    np.testing.assert_allclose(one, expected, rtol=1e-12, atol=1e-9)

@@ -1,11 +1,23 @@
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simplexsc import SyntheticSpec, generate_synthetic, save_csv
-from simplexsc.cli import main, parse_synthetic_spec
-from simplexsc.core import MODELS, ConfigError
+from simplexsc import (
+    LabeledDataset,
+    SolverConfig,
+    SpectralConfig,
+    SyntheticSpec,
+    generate_synthetic,
+    save_csv,
+)
+from simplexsc.cli import RunManifest, main, parse_synthetic_spec, run_pipeline
+from simplexsc.core import AFFINITY_MODES, MODELS, ConfigError, NumericError
 
 FIXTURE = ["--synthetic", "12,2,2,8,0.01", "--seed", "7"]
 
@@ -142,3 +154,56 @@ class TestZeroDiagonalFlag:
         # The grid runs every model, and zero_diagonal applies to ssrsc alone.
         assert main(FIXTURE + ["--ablation", "--zero-diagonal"]) == 2
         assert capsys.readouterr().err.startswith("error: config: ")
+
+
+def degenerate_points(kind: str, n: int, rng) -> np.ndarray:
+    """A D x N matrix of standard normal points made degenerate in one way."""
+    if kind == "D >= N":
+        return rng.standard_normal((n + int(rng.integers(0, 4)), n))
+    d = int(rng.integers(2, n))
+    if kind == "rank-deficient":
+        rank = int(rng.integers(1, d))
+        return rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n))
+    x = rng.standard_normal((d, n))
+    if kind == "duplicate points":
+        copies = int(rng.integers(1, n // 2 + 1))
+        x[:, n - copies:] = x[:, rng.integers(0, n - copies, size=copies)]
+    else:  # a zero column: a point of degree 0 in the affinity graph
+        x[:, rng.integers(n)] = 0.0
+    return x
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize(
+        "kind", ["duplicate points", "zero column", "rank-deficient", "D >= N"]
+    )
+    @pytest.mark.parametrize("model", MODELS)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(6, 14),
+        clusters=st.sampled_from(["2", "N - 1", "N"]),
+        scale=st.sampled_from([1.0, 1e150, 1e160]),
+        affinity=st.sampled_from(AFFINITY_MODES),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_pipeline_ends_in_valid_labels_or_a_typed_error(
+        self, model, kind, seed, n, clusters, scale, affinity
+    ):
+        x = degenerate_points(kind, n, np.random.default_rng(seed)) * scale
+        k = {"2": 2, "N - 1": n - 1, "N": n}[clusters]
+        with tempfile.TemporaryDirectory() as workdir:
+            csv_path = Path(workdir) / "points.csv"
+            save_csv(csv_path, LabeledDataset(x))
+            manifest = RunManifest(
+                solver=SolverConfig(model=model),
+                spectral=SpectralConfig(n_clusters=k, affinity_mode=affinity, seed=seed % 1000),
+                csv_path=csv_path,
+                output=Path(workdir) / "result.txt",
+            )
+            try:
+                result = run_pipeline(manifest)
+            except (ConfigError, NumericError):
+                return
+            assert (Path(workdir) / "result.txt").exists()
+        assert result.labels.shape == (n,)
+        assert result.labels.min() >= 0 and result.labels.max() < k

@@ -1,4 +1,5 @@
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,17 +331,21 @@ KERNEL_SHAPES = {
 
 
 class TestLowRankKernel:
-    @pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
-    def test_c_step_matches_dense_inverse(self, shape):
+    # shift 0.25 = rho/2 is the ssrsc/slsr C-step, whose weight rho/(2*shift) is 1.
+    @pytest.mark.parametrize(
+        "shape, shift",
+        [pytest.param(shape, 0.3, id=shape) for shape in sorted(KERNEL_SHAPES)]
+        + [pytest.param(shape, 0.25, id=f"{shape}, weight 1") for shape in sorted(KERNEL_SHAPES)],
+    )
+    def test_c_step_matches_dense_inverse(self, shape, shift):
         rng = np.random.default_rng(52)
         x = KERNEL_SHAPES[shape](rng)
         n = x.shape[1]
-        kernel = precompute_kernel(x, 0.3)
+        kernel = precompute_kernel(x, shift)
         assert kernel.vt.shape == (min(x.shape), n)
         z = rng.random((n, n))
         delta = rng.standard_normal((n, n))
-        with ThreadPoolExecutor(1) as pool:
-            c = _c_step(kernel, z, delta, 0.5, pool, 1)
+        c = _c_step(kernel, z, delta / 0.5, 0.5 / (2.0 * shift))
         expected = kernel.inverse_factor @ (kernel.gram + 0.25 * z + 0.5 * delta)
         np.testing.assert_allclose(c, expected, rtol=1e-10, atol=1e-10)
 
@@ -363,6 +368,28 @@ class TestLowRankKernel:
         solve(x, SolverConfig(model=model, max_iters=20))
         (kernel,) = kernels
         assert "gram" not in vars(kernel) and "inverse_factor" not in vars(kernel)
+
+    def test_default_solve_is_one_thread_in_five_n_by_n_arrays(self, monkeypatch):
+        x = generate_synthetic(SyntheticSpec(40, 4, 4, 300, 0.01, seed=1)).data
+        n, r = x.shape[1], min(x.shape)
+        assert n == 1200
+        started = []
+        start = threading.Thread.start
+
+        def recording(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        tracemalloc.start()
+        try:
+            solve(x, SolverConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert started == []
+        # C, Z, U and two more N x N arrays at a time; a sixth would add 11.5 MB.
+        assert peak <= (5 * n * n + 8 * r * n) * 8
 
     @pytest.mark.parametrize("model", ["ssrsc", "nlsr", "slsr", "lsr"])
     def test_huge_data_raises_numeric_error(self, model):
