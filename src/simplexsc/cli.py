@@ -81,9 +81,14 @@ def parse_synthetic_spec(text: str, seed: int) -> SyntheticSpec:
 
 
 def _load_dataset(manifest: RunManifest) -> LabeledDataset:
+    """Generate or read the input, projected to manifest.pca_dim when it is set."""
     if manifest.synthetic is not None:
-        return generate_synthetic(manifest.synthetic)
-    return load_csv(manifest.csv_path, has_header=manifest.csv_has_header)
+        dataset = generate_synthetic(manifest.synthetic)
+    else:
+        dataset = load_csv(manifest.csv_path, has_header=manifest.csv_has_header)
+    if manifest.pca_dim is None:
+        return dataset
+    return LabeledDataset(pca_project(dataset.data, manifest.pca_dim), dataset.labels)
 
 
 @single_blas_thread()
@@ -96,8 +101,6 @@ def run_pipeline(manifest: RunManifest) -> ClusteringResult:
     start = perf_counter()
     dataset = _load_dataset(manifest)
     data = dataset.data
-    if manifest.pca_dim is not None:
-        data = pca_project(data, manifest.pca_dim)
     if manifest.spectral.n_clusters > data.shape[1]:
         raise ConfigError(
             f"n_clusters={manifest.spectral.n_clusters} exceeds number of points {data.shape[1]}"
@@ -173,10 +176,6 @@ def _write_labels_csv(path: Path, labels: np.ndarray) -> None:
 @single_blas_thread()
 def _run_ablation_command(manifest: RunManifest, workers: int) -> None:
     dataset = _load_dataset(manifest)
-    data = dataset.data
-    if manifest.pca_dim is not None:
-        data = pca_project(data, manifest.pca_dim)
-        dataset = LabeledDataset(data, dataset.labels)
     grid = [
         replace(manifest.solver, model=model, lam=lam)
         for model in MODELS

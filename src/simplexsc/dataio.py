@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, ParseError, ShapeError, as_data_matrix
+from .core import ConfigError, NumericError, ParseError, ShapeError, as_data_matrix
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,10 @@ def pca_project(data, target_dim: int) -> np.ndarray:
             f"target_dim must be in [1, min(D, N)] = [1, {min(d, n)}], got {target_dim}"
         )
     centered = x - x.mean(axis=1, keepdims=True)
-    directions, singular_values, vt = np.linalg.svd(centered, full_matrices=False)
+    try:
+        directions, singular_values, vt = np.linalg.svd(centered, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD of the centered data failed: {exc}") from exc
     coordinates = singular_values[:target_dim, None] * vt[:target_dim]
     for i in range(target_dim):
         anchor = int(np.argmax(np.abs(directions[:, i])))

@@ -158,29 +158,24 @@ def run_ablation(
 
     def run_cell(cfg: SolverConfig) -> AblationRow:
         start = perf_counter()
+        error, iterations, failure = None, 0, None
         try:
             result = solve(dataset.data, cfg)
             affinity = build_affinity(result.coefficients, spectral.affinity_mode)
             labels = spectral_cluster(affinity, spectral)
             error = clustering_error(labels, dataset.labels)
-            return AblationRow(
-                model=cfg.model,
-                lam=cfg.lam,
-                s=cfg.s,
-                error_rate=error,
-                wall_time_seconds=perf_counter() - start,
-                iterations_used=result.iterations_used,
-            )
+            iterations = result.iterations_used
         except (ConfigError, DomainError, NumericError) as exc:
-            return AblationRow(
-                model=cfg.model,
-                lam=cfg.lam,
-                s=cfg.s,
-                error_rate=None,
-                wall_time_seconds=perf_counter() - start,
-                iterations_used=0,
-                failure=f"{type(exc).__name__}: {exc}",
-            )
+            failure = f"{type(exc).__name__}: {exc}"
+        return AblationRow(
+            model=cfg.model,
+            lam=cfg.lam,
+            s=cfg.s,
+            error_rate=error,
+            wall_time_seconds=perf_counter() - start,
+            iterations_used=iterations,
+            failure=failure,
+        )
 
     if workers == 1:
         rows = [run_cell(cfg) for cfg in grid]

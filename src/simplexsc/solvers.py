@@ -23,12 +23,12 @@ by one thin SVD X = U S V^T (r = min(D, N)):
 
     (X^T X + shift*I)^{-1} M = M/shift + V diag(1/(s^2+shift) - 1/shift) V^T M
 
-A C-step then costs O(rN^2) per iteration instead of O(N^3), and no N x N
-inverse or Gram matrix is stored; lsr's closed form is V diag(s^2/(s^2+lam)) V^T.
-The explicit inverse stays available through ``regularized_gram_inverse``,
-optionally by the Woodbury identity, which swaps the N x N inversion for a
-D x D one. ``use_woodbury`` is validated and recorded, but it never changes
-what a solver returns.
+A C-step then costs O(rN^2) per iteration instead of O(N^3); the factors V^T
+and s^2/(s^2+shift) are the solvers' only form of the ridge system, and lsr's
+closed form is V diag(s^2/(s^2+lam)) V^T. ``regularized_gram_inverse`` builds
+the explicit N x N inverse, directly or by the Woodbury identity (a D x D
+inversion), as a reference; no solver calls it. ``SolverConfig.use_woodbury``
+is validated and recorded, but it never changes what a solver returns.
 
 Solves run on one thread and one BLAS thread (see ``blas``), so their bits do
 not depend on the BLAS thread count.
@@ -37,7 +37,6 @@ not depend on the BLAS thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .core import (
     DivergenceError,
     NumericError,
     SolverConfig,
-    WOODBURY_MODES,
     as_data_matrix,
 )
 from .projections import (
@@ -64,26 +62,12 @@ class PrecomputedKernel:
 
     With X = U S V^T and ridge = s^2/(s^2 + shift):
     (X^T X + shift*I)^{-1} X^T X = V diag(ridge) V^T and
-    (X^T X + shift*I)^{-1} = I/shift - V diag(ridge/shift) V^T. ``gram`` and
-    ``inverse_factor`` build the N x N matrices on first use, for callers
-    that want them; the solvers never do.
+    (X^T X + shift*I)^{-1} = I/shift - V diag(ridge/shift) V^T. No N x N
+    matrix is kept.
     """
 
-    data: np.ndarray   # X, D x N
     vt: np.ndarray     # V^T, r x N
     ridge: np.ndarray  # s^2 / (s^2 + shift), one per singular value
-    shift: float
-    mode: str = "auto"  # how inverse_factor is materialised (regularized_gram_inverse)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """X^T X."""
-        return self.data.T @ self.data
-
-    @cached_property
-    def inverse_factor(self) -> np.ndarray:
-        """(X^T X + shift*I)^{-1}."""
-        return regularized_gram_inverse(self.data, self.shift, self.mode)
 
 
 @dataclass
@@ -104,11 +88,9 @@ class SolveResult:
         return len(self.residual_history)
 
 
-def _check_ridge_arguments(shift: float, mode: str) -> None:
+def _check_shift(shift: float) -> None:
     if not np.isfinite(shift) or shift <= 0:
         raise ConfigError(f"shift must be positive, got {shift}")
-    if mode not in GRAM_INVERSE_MODES:
-        raise ConfigError(f"mode must be one of {GRAM_INVERSE_MODES}, got {mode!r}")
 
 
 def regularized_gram_inverse(x, shift: float, mode: str = "auto") -> np.ndarray:
@@ -120,7 +102,9 @@ def regularized_gram_inverse(x, shift: float, mode: str = "auto") -> np.ndarray:
     inner D x D system is positive definite for any shift > 0.
     """
     x = as_data_matrix(x)
-    _check_ridge_arguments(shift, mode)
+    _check_shift(shift)
+    if mode not in GRAM_INVERSE_MODES:
+        raise ConfigError(f"mode must be one of {GRAM_INVERSE_MODES}, got {mode!r}")
     d, n = x.shape
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "woodbury" or (mode == "auto" and d < n):
@@ -134,31 +118,28 @@ def regularized_gram_inverse(x, shift: float, mode: str = "auto") -> np.ndarray:
     return result
 
 
-def precompute_kernel(x, shift: float, mode: str = "auto") -> PrecomputedKernel:
-    """Factor the ridge system of a D x N data matrix by one thin SVD.
-
-    ``mode`` is the ``regularized_gram_inverse`` mode that ``inverse_factor``
-    uses when it is asked for; the factors do not depend on it.
-    """
+def precompute_kernel(x, shift: float) -> PrecomputedKernel:
+    """Factor the ridge system of a D x N data matrix by one thin SVD."""
     x = as_data_matrix(x)
-    _check_ridge_arguments(shift, mode)
-    _, singular, vt = np.linalg.svd(x, full_matrices=False)
+    _check_shift(shift)
+    try:
+        _, singular, vt = np.linalg.svd(x, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD of the data matrix failed: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         squared = singular**2
         ridge = squared / (squared + shift)
     if not np.all(np.isfinite(ridge)):
         raise NumericError("ridge kernel factors are non-finite; rescale the data")
-    return PrecomputedKernel(x, vt, ridge, shift, mode)
+    return PrecomputedKernel(vt, ridge)
 
 
 @single_blas_thread()
-def solve_lsr(x, lam: float, use_woodbury: str = "auto") -> np.ndarray:
+def solve_lsr(x, lam: float) -> np.ndarray:
     """Closed-form ridge self-expression C = (X^T X + lam*I)^{-1} X^T X = V diag(ridge) V^T."""
     x = as_data_matrix(x)
     if not np.isfinite(lam) or lam <= 0:
         raise ConfigError(f"lam must be positive, got {lam}")
-    if use_woodbury not in WOODBURY_MODES:
-        raise ConfigError(f"use_woodbury must be one of {WOODBURY_MODES}, got {use_woodbury!r}")
     kernel = precompute_kernel(x, lam)
     return kernel.vt.T @ (kernel.ridge[:, None] * kernel.vt)
 
@@ -222,7 +203,7 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
     the dual step is U += Z - C. Stops when the equality gap and both
     successive-change residuals are simultaneously <= tol, or after max_iters
     iterations. Returns Z, the iterate that satisfies the model's constraints
-    exactly.
+    exactly. Raises DivergenceError when an iterate turns non-finite.
     """
     if cfg.model != model:
         raise ConfigError(f"solve_{model} requires model {model!r}, got {cfg.model!r}")
@@ -245,8 +226,6 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
         converged = False
         for _ in range(cfg.max_iters):
             c_next = _c_step(kernel, z, u, weight)
-            if not np.all(np.isfinite(c_next)):
-                raise DivergenceError("ADMM iterates became non-finite")
             # The residuals, the Z-step input and the dual step take no new
             # N x N array (a fresh one costs its page zeroing, ~7 ms at
             # N = 3000): the previous C's array holds C_k - C_k+1, then
@@ -258,9 +237,17 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
             v = np.subtract(c_next, u, out=c)
             c = c_next
             v *= scale
-            z_next = project(v, cfg)
+            # The projection's finiteness scan is the loop's only one; the
+            # zero-diagonal projection skips the diagonal, whose non-finite
+            # entries then show in the gap.
+            try:
+                z_next = project(v, cfg)
+            except NumericError as exc:
+                raise DivergenceError("ADMM iterates became non-finite") from exc
             step = np.subtract(z_next, c, out=v)
             gap = float(np.linalg.norm(step))
+            if not np.isfinite(gap):
+                raise DivergenceError("ADMM iterates became non-finite")
             u += step
             del v, step
             z_change = float(np.linalg.norm(np.subtract(z, z_next, out=z)))
@@ -291,7 +278,7 @@ def solve(x, cfg: SolverConfig) -> SolveResult:
     """Run the solver selected by cfg.model on a D x N data matrix."""
     if cfg.model == "lsr":
         return SolveResult(
-            coefficients=solve_lsr(x, cfg.lam, cfg.use_woodbury),
+            coefficients=solve_lsr(x, cfg.lam),
             residual_history=[],
             converged=True,
         )

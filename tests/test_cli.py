@@ -105,6 +105,21 @@ class TestPipelineCommand:
         proc = run_cli("--synthetic", "12,2,2,8,0.0", "--input", str(bad))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("pca_dim", [None, 4])
+    def test_failed_svd_raises_numeric_error(self, pca_dim, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        manifest = RunManifest(
+            solver=SolverConfig(),
+            spectral=SpectralConfig(n_clusters=2),
+            synthetic=parse_synthetic_spec("12,2,2,8,0.01", 7),
+            pca_dim=pca_dim,
+        )
+        with pytest.raises(NumericError, match="SVD"):
+            run_pipeline(manifest)
+
     def test_summary_line_format(self, capsys):
         assert main(FIXTURE) == 0
         out = capsys.readouterr().out

@@ -164,6 +164,16 @@ class TestRunAblation:
         assert report.rows[0].error_rate is None
         assert report.rows[0].failure is not None
 
+    def test_failed_svd_marks_the_row_failed(self, small_dataset, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        grid = [SolverConfig(model="lsr"), SolverConfig(model="ssrsc")]
+        report = run_ablation(small_dataset, grid, SpectralConfig(n_clusters=2))
+        assert [row.error_rate for row in report.rows] == [None, None]
+        assert all(row.failure.startswith("NumericError") for row in report.rows)
+
     def test_requires_labels(self, small_dataset):
         unlabeled = type(small_dataset)(small_dataset.data, None)
         with pytest.raises(ConfigError):

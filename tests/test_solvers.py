@@ -6,6 +6,7 @@ import pytest
 
 from simplexsc import (
     ConfigError,
+    DivergenceError,
     NumericError,
     SolverConfig,
     SyntheticSpec,
@@ -78,9 +79,13 @@ class TestRegularizedGramInverse:
         rng = np.random.default_rng(31)
         for mode in ("direct", "woodbury"):
             x = rng.standard_normal((4, 9))
-            kernel = precompute_kernel(x, 0.25, mode)
-            identity = kernel.inverse_factor @ (kernel.gram + 0.25 * np.eye(9))
+            inverse = regularized_gram_inverse(x, 0.25, mode)
+            identity = inverse @ (x.T @ x + 0.25 * np.eye(9))
             assert frobenius_distance(identity, np.eye(9)) <= 1e-8
+            # the kernel's factors give the same inverse: I/shift - V diag(ridge/shift) V^T
+            kernel = precompute_kernel(x, 0.25)
+            factored = (np.eye(9) - kernel.vt.T @ (kernel.ridge[:, None] * kernel.vt)) / 0.25
+            assert frobenius_distance(factored, inverse) <= 1e-8
 
 
 class TestLsr:
@@ -346,7 +351,7 @@ class TestLowRankKernel:
         z = rng.random((n, n))
         delta = rng.standard_normal((n, n))
         c = _c_step(kernel, z, delta / 0.5, 0.5 / (2.0 * shift))
-        expected = kernel.inverse_factor @ (kernel.gram + 0.25 * z + 0.5 * delta)
+        expected = regularized_gram_inverse(x, shift) @ (x.T @ x + 0.25 * z + 0.5 * delta)
         np.testing.assert_allclose(c, expected, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
@@ -367,7 +372,9 @@ class TestLowRankKernel:
         x = np.random.default_rng(54).standard_normal((4, 30))
         solve(x, SolverConfig(model=model, max_iters=20))
         (kernel,) = kernels
-        assert "gram" not in vars(kernel) and "inverse_factor" not in vars(kernel)
+        r = min(x.shape)
+        assert set(vars(kernel)) == {"vt", "ridge"}
+        assert kernel.vt.shape == (r, 30) and kernel.ridge.shape == (r,)
 
     def test_default_solve_is_one_thread_in_five_n_by_n_arrays(self, monkeypatch):
         x = generate_synthetic(SyntheticSpec(40, 4, 4, 300, 0.01, seed=1)).data
@@ -390,6 +397,27 @@ class TestLowRankKernel:
         assert started == []
         # C, Z, U and two more N x N arrays at a time; a sixth would add 11.5 MB.
         assert peak <= (5 * n * n + 8 * r * n) * 8
+
+    @pytest.mark.parametrize(
+        "model, zero_diagonal", [("ssrsc", False), ("nlsr", False), ("slsr", False), ("ssrsc", True)]
+    )
+    @pytest.mark.parametrize("where", ["column", "diagonal"])
+    def test_non_finite_c_step_raises_divergence_error(self, model, zero_diagonal, where, monkeypatch):
+        c_step = solvers._c_step
+
+        def overflowing(*args):
+            c = c_step(*args)
+            if where == "column":
+                c[:, 2] = np.inf
+            else:  # the entry the zero-diagonal projection leaves out
+                c[2, 2] = np.inf
+            return c
+
+        monkeypatch.setattr(solvers, "_c_step", overflowing)
+        x = np.random.default_rng(58).standard_normal((4, 10))
+        cfg = SolverConfig(model=model, zero_diagonal=zero_diagonal, max_iters=1)
+        with pytest.raises(DivergenceError):
+            solve(x, cfg)
 
     @pytest.mark.parametrize("model", ["ssrsc", "nlsr", "slsr", "lsr"])
     def test_huge_data_raises_numeric_error(self, model):
