@@ -30,7 +30,7 @@ from .core import (
     ParseError,
     ShapeError,
     SolverConfig,
-    WOODBURY_MODES,
+    as_count,
 )
 from .dataio import LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, pca_project
 from .evaluate import clustering_error, run_ablation
@@ -56,8 +56,8 @@ class RunManifest:
     def __post_init__(self) -> None:
         if (self.csv_path is None) == (self.synthetic is None):
             raise ConfigError("exactly one input source (--input or --synthetic) is required")
-        if self.pca_dim is not None and self.pca_dim < 1:
-            raise ConfigError(f"pca_dim must be >= 1, got {self.pca_dim}")
+        if self.pca_dim is not None:
+            as_count(self.pca_dim, "pca_dim")
 
 
 def parse_synthetic_spec(text: str, seed: int) -> SyntheticSpec:
@@ -150,7 +150,6 @@ def _write_result_document(
         f"max_iters: {cfg.max_iters}",
         f"tol: {cfg.tol!r}",
         f"zero_diagonal: {str(cfg.zero_diagonal).lower()}",
-        f"use_woodbury: {cfg.use_woodbury}",
         f"seed: {cfg.seed}",
         f"input: {_input_description(manifest)}",
         f"pca_dim: {manifest.pca_dim if manifest.pca_dim is not None else 'none'}",
@@ -214,10 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--zero-diagonal", action="store_true",
                         help="force zero self-representation, ssrsc only (exact simplex "
                              "projection of the off-diagonal entries)")
-    parser.add_argument("--woodbury", choices=WOODBURY_MODES, default="auto",
-                        help="recorded in the result document; the solvers use a "
-                             "thin-SVD kernel and give the same result for every value "
-                             "(default auto)")
     parser.add_argument("--synthetic", metavar="D,d,n,ppc,sigma",
                         help="generate a union-of-subspaces sample instead of reading a file")
     parser.add_argument("--input", type=Path, help="row-per-sample CSV input")
@@ -250,7 +245,6 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
         max_iters=args.max_iters,
         tol=args.tol,
         zero_diagonal=args.zero_diagonal,
-        use_woodbury=args.woodbury,
         seed=args.seed,
     )
     spectral = SpectralConfig(n_clusters=n_clusters, affinity_mode=affinity, seed=args.seed)

@@ -7,14 +7,12 @@ ingest. All numerics are float64.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 MODELS = ("lsr", "nlsr", "slsr", "ssrsc")
-# Accepted use_woodbury values. The setting is recorded in the result
-# document; no solver result depends on it.
-WOODBURY_MODES = ("auto", "on", "off")
 AFFINITY_MODES = ("sym", "abs")
 
 
@@ -40,6 +38,17 @@ class NumericError(ArithmeticError):
 
 class DivergenceError(NumericError):
     """An iterative solver produced non-finite iterates."""
+
+
+def as_count(value, name: str, minimum: int = 1) -> int:
+    """Return a count, size or seed as an int >= ``minimum``; a float such as 2.0 is a ConfigError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {count}")
+    return count
 
 
 def as_data_matrix(values) -> np.ndarray:
@@ -74,7 +83,8 @@ class SolverConfig:
     the simplex/affine constraint, ``rho`` the ADMM penalty. ``max_iters`` and
     ``tol`` bound the ADMM loop (residuals are compared with <=).
     ``zero_diagonal`` (ssrsc only) keeps every point out of its own
-    representation.
+    representation. ``seed`` is recorded in the result document; the solvers
+    draw no randomness.
     """
 
     model: str = "ssrsc"
@@ -84,7 +94,6 @@ class SolverConfig:
     max_iters: int = 5
     tol: float = 0.01
     zero_diagonal: bool = False
-    use_woodbury: str = "auto"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -92,18 +101,12 @@ class SolverConfig:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if self.zero_diagonal and self.model != "ssrsc":
             raise ConfigError(f"zero_diagonal applies to model 'ssrsc' only, got {self.model!r}")
-        if self.use_woodbury not in WOODBURY_MODES:
-            raise ConfigError(
-                f"use_woodbury must be one of {WOODBURY_MODES}, got {self.use_woodbury!r}"
-            )
         for name in ("lam", "s", "rho", "tol"):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ConfigError(f"{name} must be a positive finite number, got {value}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        as_count(self.max_iters, "max_iters")
+        as_count(self.seed, "seed", 0)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, NumericError, ParseError, ShapeError, as_data_matrix
+from .core import ConfigError, NumericError, ParseError, ShapeError, as_count, as_data_matrix
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,14 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.ambient_dim < 1 or self.subspace_dim < 1:
-            raise ConfigError("ambient_dim and subspace_dim must be >= 1")
+        for name in ("ambient_dim", "subspace_dim", "n_subspaces", "points_per_subspace"):
+            as_count(getattr(self, name), name)
+        as_count(self.seed, "seed", 0)
         if self.subspace_dim >= self.ambient_dim:
             raise ConfigError(
                 f"subspace_dim must be < ambient_dim "
                 f"({self.subspace_dim} >= {self.ambient_dim})"
             )
-        if self.n_subspaces < 1:
-            raise ConfigError(f"n_subspaces must be >= 1, got {self.n_subspaces}")
         if self.points_per_subspace < self.subspace_dim:
             raise ConfigError(
                 "points_per_subspace must be >= subspace_dim so each subspace "
@@ -44,8 +43,6 @@ class SyntheticSpec:
             )
         if not np.isfinite(self.noise_sigma) or self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

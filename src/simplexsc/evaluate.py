@@ -17,6 +17,7 @@ from .core import (
     NumericError,
     ShapeError,
     SolverConfig,
+    as_count,
     as_square_matrix,
 )
 from .dataio import LabeledDataset
@@ -153,8 +154,7 @@ def run_ablation(
     """
     if dataset.labels is None:
         raise ConfigError("ablation requires ground-truth labels")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    as_count(workers, "workers")
 
     def run_cell(cfg: SolverConfig) -> AblationRow:
         start = perf_counter()

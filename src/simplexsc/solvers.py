@@ -27,8 +27,7 @@ A C-step then costs O(rN^2) per iteration instead of O(N^3); the factors V^T
 and s^2/(s^2+shift) are the solvers' only form of the ridge system, and lsr's
 closed form is V diag(s^2/(s^2+lam)) V^T. ``regularized_gram_inverse`` builds
 the explicit N x N inverse, directly or by the Woodbury identity (a D x D
-inversion), as a reference; no solver calls it. ``SolverConfig.use_woodbury``
-is validated and recorded, but it never changes what a solver returns.
+inversion), as a reference; no solver calls it.
 
 Solves run on one thread and one BLAS thread (see ``blas``), so their bits do
 not depend on the BLAS thread count.

@@ -36,6 +36,7 @@ from .core import (
     ConfigError,
     NumericError,
     ShapeError,
+    as_count,
     as_square_matrix,
 )
 
@@ -67,16 +68,14 @@ class SpectralConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_clusters < 1:
-            raise ConfigError(f"n_clusters must be >= 1, got {self.n_clusters}")
+        as_count(self.n_clusters, "n_clusters")
         if self.affinity_mode not in AFFINITY_MODES:
             raise ConfigError(
                 f"affinity_mode must be one of {AFFINITY_MODES}, got {self.affinity_mode!r}"
             )
-        if self.kmeans_restarts < 1 or self.kmeans_max_iters < 1:
-            raise ConfigError("kmeans_restarts and kmeans_max_iters must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        as_count(self.kmeans_restarts, "kmeans_restarts")
+        as_count(self.kmeans_max_iters, "kmeans_max_iters")
+        as_count(self.seed, "seed", 0)
 
 
 def build_affinity(c, mode: str = "sym") -> np.ndarray:
@@ -240,8 +239,12 @@ def kmeans(
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ShapeError(f"points must be a non-empty 2-D array, got shape {points.shape}")
-    if not 1 <= k <= points.shape[0]:
+    if not np.all(np.isfinite(points)):
+        raise NumericError("points contain non-finite values")
+    if as_count(k, "k") > points.shape[0]:
         raise ConfigError(f"k must be in [1, {points.shape[0]}], got {k}")
+    as_count(restarts, "restarts")
+    as_count(max_iters, "max_iters")
     rng = np.random.default_rng(seed)
     best_labels: np.ndarray | None = None
     best_objective = np.inf

@@ -121,6 +121,34 @@ def _project_columns_simplex(v, s):
     return np.maximum(v + beta[None, :], 0.0)
 
 
+def admm_with_inverse(x, inverse, model, lam, s, rho, iters):
+    """``iters`` scaled-form ADMM steps for nlsr/slsr/ssrsc through an explicit ridge inverse.
+
+    ``inverse`` is (X^T X + shift*I)^{-1}, with shift (2*lam+rho)/2 for nlsr
+    and rho/2 otherwise. From all-zero iterates each step takes
+    C = inverse (X^T X + rho/2 (Z + U)), Z = proj(scale (C - U)) and
+    U += Z - C, with scale 1 for nlsr and rho/(2*lam+rho) otherwise; the
+    projection clips to C >= 0 (nlsr), shifts columns to sum s (slsr) or
+    projects them onto the scale-s simplex (ssrsc). Returns Z.
+    """
+    gram = x.T @ x
+    n = gram.shape[0]
+    z = np.zeros((n, n))
+    u = np.zeros((n, n))
+    scale = 1.0 if model == "nlsr" else rho / (2.0 * lam + rho)
+    for _ in range(iters):
+        c = inverse @ (gram + rho / 2.0 * (z + u))
+        v = scale * (c - u)
+        if model == "nlsr":
+            z = np.maximum(v, 0.0)
+        elif model == "slsr":
+            z = v + (s - v.sum(axis=0)) / n
+        else:
+            z = _project_columns_simplex(v, s)
+        u += z - c
+    return z
+
+
 def pgd_ssrsc_oracle(x, lam, s, iters=100_000):
     """All simplex-constrained ridge columns at once by projected gradient.
 

@@ -33,6 +33,7 @@ from simplexsc import (
 )
 
 from oracles import (
+    admm_with_inverse,
     exhaustive_permutation_error,
     hyperplane_column_oracle,
     nnls_column_oracle,
@@ -121,12 +122,19 @@ def test_criterion_04_woodbury_equivalence():
             direct = regularized_gram_inverse(x, shift, mode="direct")
             woodbury = regularized_gram_inverse(x, shift, mode="woodbury")
             assert frobenius_distance(direct, woodbury) <= 1e-8
+        # The solvers' thin-SVD ridge route against ADMM through either explicit inverse.
         for model in ("ssrsc", "nlsr", "slsr"):
+            cfg = SolverConfig(model=model)
+            shift = (2 * cfg.lam + cfg.rho) / 2 if model == "nlsr" else cfg.rho / 2
             for seed in range(3):
                 x = np.random.default_rng(440 + seed).standard_normal((4, 18))
-                on = solve(x, SolverConfig(model=model, use_woodbury="on"))
-                off = solve(x, SolverConfig(model=model, use_woodbury="off"))
-                assert frobenius_distance(on.coefficients, off.coefficients) <= 1e-6
+                result = solve(x, cfg)
+                for mode in ("direct", "woodbury"):
+                    inverse = regularized_gram_inverse(x, shift, mode=mode)
+                    reference = admm_with_inverse(
+                        x, inverse, model, cfg.lam, cfg.s, cfg.rho, result.iterations_used
+                    )
+                    assert frobenius_distance(result.coefficients, reference) <= 1e-6
 
 
 def test_criterion_05_convergence_speed_at_defaults():

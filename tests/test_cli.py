@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,10 +17,11 @@ from simplexsc import (
     generate_synthetic,
     save_csv,
 )
-from simplexsc.cli import RunManifest, main, parse_synthetic_spec, run_pipeline
+from simplexsc.cli import RunManifest, build_parser, main, parse_synthetic_spec, run_pipeline
 from simplexsc.core import AFFINITY_MODES, MODELS, ConfigError, NumericError
 
 FIXTURE = ["--synthetic", "12,2,2,8,0.01", "--seed", "7"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, env=None):
@@ -58,6 +60,19 @@ class TestPipelineCommand:
         assert "residuals:" in lines
         labels_line = next(line for line in lines if line.startswith("labels: "))
         assert len(labels_line.split()) == 1 + 16  # 2 subspaces x 8 points
+
+    def test_document_keys(self, tmp_path):
+        out = tmp_path / "result.txt"
+        assert main(FIXTURE + ["--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        keys = [line.split(":")[0] for line in lines[: lines.index("residuals:")]]
+        assert "use_woodbury" not in keys
+        assert keys == [
+            "format_version", "model", "lambda", "s", "rho", "max_iters", "tol",
+            "zero_diagonal", "seed", "input", "pca_dim", "n_clusters", "affinity",
+            "kmeans_restarts", "n_features", "n_points", "iterations_used", "converged",
+            "error_rate", "labels",
+        ]
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         first = tmp_path / "a.txt"
@@ -139,6 +154,39 @@ class TestPipelineCommand:
         assert result.error_rate is not None and result.error_rate <= 0.05
         assert result.iterations_used <= manifest.solver.max_iters
         assert len(result.residual_history) == result.iterations_used
+
+
+class TestFlags:
+    def test_woodbury_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(FIXTURE + ["--woodbury", "on"])
+        assert exited.value.code == 2
+        assert "--woodbury" in capsys.readouterr().err
+
+    def test_readme_lists_every_flag(self):
+        # The README's "Flags:" paragraph names each long option once, in parser order.
+        text = README.read_text(encoding="utf-8")
+        paragraph = text[text.index("Flags: "):].split("\n\n")[0]
+        documented = re.findall(r"`(--[a-z-]+)", paragraph)
+        options = [
+            option
+            for action in build_parser()._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        ]
+        assert documented == options
+
+
+class TestRunManifest:
+    @pytest.mark.parametrize("pca_dim", [0, 2.5])
+    def test_rejects_invalid_pca_dim(self, pca_dim):
+        with pytest.raises(ConfigError, match="pca_dim"):
+            RunManifest(
+                solver=SolverConfig(),
+                spectral=SpectralConfig(n_clusters=2),
+                synthetic=SyntheticSpec(12, 2, 2, 8),
+                pca_dim=pca_dim,
+            )
 
 
 class TestAblationCommand:

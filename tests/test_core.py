@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,7 +90,6 @@ class TestSolverConfig:
         assert cfg.max_iters == 5
         assert cfg.tol == 0.01
         assert cfg.lam == 0.01
-        assert cfg.use_woodbury == "auto"
         assert cfg.zero_diagonal is False
 
     @pytest.mark.parametrize(
@@ -101,14 +102,20 @@ class TestSolverConfig:
             {"rho": -0.5},
             {"tol": 0.0},
             {"max_iters": 0},
-            {"use_woodbury": "maybe"},
+            {"max_iters": 2.5},
             {"seed": -1},
             {"lam": np.nan},
+            {"seed": 1.5},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             SolverConfig(**kwargs)
+
+    def test_fields(self):
+        assert [f.name for f in fields(SolverConfig)] == [
+            "model", "lam", "s", "rho", "max_iters", "tol", "zero_diagonal", "seed",
+        ]
 
     @pytest.mark.parametrize("model", ["lsr", "nlsr", "slsr"])
     def test_zero_diagonal_is_ssrsc_only(self, model):

@@ -22,6 +22,9 @@ class TestSyntheticSpec:
             {"ambient_dim": 4, "subspace_dim": 3, "n_subspaces": 1, "points_per_subspace": 2},
             {"ambient_dim": 4, "subspace_dim": 2, "n_subspaces": 1, "points_per_subspace": 5,
              "noise_sigma": -0.1},
+            {"ambient_dim": 6.0, "subspace_dim": 2, "n_subspaces": 2, "points_per_subspace": 5},
+            {"ambient_dim": 4, "subspace_dim": 2, "n_subspaces": 1, "points_per_subspace": 5,
+             "seed": -1},
         ],
     )
     def test_rejects_invalid(self, kwargs):

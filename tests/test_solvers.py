@@ -26,6 +26,7 @@ from simplexsc.solvers import _c_step, _project_off_diagonal
 
 from oracles import (
     _project_columns_simplex,
+    admm_with_inverse,
     hyperplane_column_oracle,
     nnls_column_oracle,
     pgd_ssrsc_oracle,
@@ -243,11 +244,18 @@ class TestSlsr:
 class TestWoodburyEquivalence:
     @pytest.mark.parametrize("model", ["ssrsc", "nlsr", "slsr"])
     def test_solver_outputs_agree(self, model):
+        # The thin-SVD C-step against ADMM through the direct and the Woodbury inverse.
         rng = np.random.default_rng(16)
         x = rng.standard_normal((4, 15))
-        on = solve(x, SolverConfig(model=model, use_woodbury="on"))
-        off = solve(x, SolverConfig(model=model, use_woodbury="off"))
-        assert frobenius_distance(on.coefficients, off.coefficients) <= 1e-6
+        cfg = SolverConfig(model=model)
+        shift = (2 * cfg.lam + cfg.rho) / 2 if model == "nlsr" else cfg.rho / 2
+        result = solve(x, cfg)
+        for mode in ("direct", "woodbury"):
+            inverse = regularized_gram_inverse(x, shift, mode=mode)
+            reference = admm_with_inverse(
+                x, inverse, model, cfg.lam, cfg.s, cfg.rho, result.iterations_used
+            )
+            assert frobenius_distance(result.coefficients, reference) <= 1e-6
 
 
 class TestBoundaryProperty:

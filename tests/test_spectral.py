@@ -207,6 +207,36 @@ class TestKmeans:
         with pytest.raises(ConfigError):
             kmeans(np.zeros((3, 2)), 4)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"restarts": 0}, {"max_iters": 0}, {"restarts": 1.5}, {"max_iters": 2.0}]
+    )
+    def test_rejects_bad_restarts_and_iterations(self, kwargs):
+        with pytest.raises(ConfigError):
+            kmeans(np.arange(8.0).reshape(4, 2), 2, **kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(NumericError):
+            kmeans(np.array([[bad, 0.0], [0.0, 1.0], [1.0, 0.0]]), 2)
+
+
+class TestSpectralConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_clusters": 0},
+            {"n_clusters": 2.0},
+            {"n_clusters": 2, "affinity_mode": "cosine"},
+            {"n_clusters": 2, "kmeans_restarts": 0},
+            {"n_clusters": 2, "kmeans_restarts": 1.5},
+            {"n_clusters": 2, "kmeans_max_iters": 0},
+            {"n_clusters": 2, "seed": -1},
+        ],
+    )
+    def test_rejects_invalid(self, kwargs):
+        with pytest.raises(ConfigError):
+            SpectralConfig(**kwargs)
+
 
 def planted_graph(sizes, rng, leak=0.0, isolated=0):
     """Symmetric non-negative affinity with one connected block per entry of sizes.
