@@ -35,7 +35,7 @@ from .core import (
 from .dataio import LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, pca_project
 from .evaluate import clustering_error, run_ablation
 from .solvers import solve
-from .spectral import SpectralConfig, build_affinity, spectral_cluster
+from .spectral import KMEANS_RESTARTS, SpectralConfig, build_affinity, spectral_cluster
 
 ABLATION_LAMBDAS = (0.001, 0.01, 0.1)
 
@@ -150,12 +150,12 @@ def _write_result_document(
         f"max_iters: {cfg.max_iters}",
         f"tol: {cfg.tol!r}",
         f"zero_diagonal: {str(cfg.zero_diagonal).lower()}",
-        f"seed: {cfg.seed}",
+        f"seed: {spec.seed}",
         f"input: {_input_description(manifest)}",
         f"pca_dim: {manifest.pca_dim if manifest.pca_dim is not None else 'none'}",
         f"n_clusters: {spec.n_clusters}",
         f"affinity: {spec.affinity_mode}",
-        f"kmeans_restarts: {spec.kmeans_restarts}",
+        f"kmeans_restarts: {KMEANS_RESTARTS}",
         f"n_features: {data_shape[0]}",
         f"n_points: {data_shape[1]}",
         f"iterations_used: {result.iterations_used}",

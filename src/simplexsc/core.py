@@ -83,8 +83,9 @@ class SolverConfig:
     the simplex/affine constraint, ``rho`` the ADMM penalty. ``max_iters`` and
     ``tol`` bound the ADMM loop (residuals are compared with <=).
     ``zero_diagonal`` (ssrsc only) keeps every point out of its own
-    representation. ``seed`` is recorded in the result document; the solvers
-    draw no randomness.
+    representation. ``seed`` is unused: the solvers draw no randomness and
+    the result document records ``SpectralConfig.seed``; it stays because
+    ``perfbench/workloads.py`` passes it.
     """
 
     model: str = "ssrsc"

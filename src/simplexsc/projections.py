@@ -45,7 +45,8 @@ def project_scaled_simplex(u, s: float) -> np.ndarray:
     cumsum = np.cumsum(w)
     ranks = np.arange(1, u.size + 1)
     positive = w + (s - cumsum) / ranks > 0
-    alpha = int(np.nonzero(positive)[0][-1]) + 1  # positive[0] is s > 0, always true
+    positive[0] = True  # w_1 + (s - w_1) > 0 whenever it is not rounded away
+    alpha = int(np.nonzero(positive)[0][-1]) + 1
     beta = (s - cumsum[alpha - 1]) / alpha
     return np.maximum(u + beta, 0.0)
 

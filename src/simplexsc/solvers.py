@@ -15,8 +15,9 @@ enters the core through a ridge shift, a scale and a projection alone, all
 taken from one table. nlsr puts lam on the C-step: shift (2*lam+rho)/2, and Z
 is C - U clipped to C >= 0. ssrsc and slsr put it on the Z-step: shift rho/2,
 and Z is rho/(2*lam+rho) * (C - U) projected onto the simplex or the
-hyperplane; ssrsc with ``zero_diagonal`` projects each column without its
-diagonal entry and sets that entry to 0.
+hyperplane; ssrsc with ``zero_diagonal`` first writes each column's diagonal
+entry more than s below the column's minimum, which the same simplex
+projection then sends to exactly 0 without changing the other entries.
 
 The ridge system X^T X + shift*I is constant, so it is factored once up front
 by one thin SVD X = U S V^T (r = min(D, N)):
@@ -162,18 +163,18 @@ def _c_step(kernel: PrecomputedKernel, z, u, weight: float) -> np.ndarray:
 def _project_off_diagonal(v: np.ndarray, s: float) -> np.ndarray:
     """Project each column of a square v, without its diagonal entry, onto the scale-s simplex.
 
-    The diagonal of the result is 0, so each column is the exact projection
-    of v's column onto {z >= 0, sum(z) = s, z_jj = 0}.
+    Overwrites v's diagonal with a value more than s below the column's
+    other entries: it fails the simplex test and projects to 0, and the
+    shift and the other entries are those of the column without it, bit for
+    bit. A non-finite column minimum makes that value non-finite, and the
+    projection raises.
     """
-    n = v.shape[0]
-    upper = np.triu(np.ones((n - 1, n), dtype=bool), 1)
-    # Column j of off is v[:, j] without v[j, j]: rows i < j from v[:-1], the rest from v[1:].
-    off = np.where(upper, v[:-1], v[1:])
-    projected = project_columns_scaled_simplex(off, s)
-    out = np.zeros((n, n))
-    np.copyto(out[:-1], projected, where=upper)
-    np.copyto(out[1:], projected, where=~upper)
-    return out
+    low = v.min(axis=0)
+    # Without |low|, low - (s + 1) can round back to low (2**54 - 1.5 ==
+    # 2**54) or come within the rounding error of the column's sums.
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.fill_diagonal(v, low - np.abs(low) - (s + 1.0))
+    return project_columns_scaled_simplex(v, s)
 
 
 # Per constrained model: whether lam rides on the C-step (in the ridge shift)
@@ -237,8 +238,8 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
             c = c_next
             v *= scale
             # The projection's finiteness scan is the loop's only one; the
-            # zero-diagonal projection skips the diagonal, whose non-finite
-            # entries then show in the gap.
+            # zero-diagonal projection overwrites the diagonal, whose
+            # non-finite entries then show in the gap.
             try:
                 z_next = project(v, cfg)
             except NumericError as exc:

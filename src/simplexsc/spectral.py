@@ -55,16 +55,16 @@ SPARSE_EIGEN_MIN_N = 1000
 LANCZOS_SEED = 0
 # ARPACK restart cycles before the Lanczos eigensolve gives up.
 LANCZOS_MAX_RESTARTS = 300
+# Seeded k-means restarts per spectral_cluster call (kmeans's default).
+KMEANS_RESTARTS = 20
 
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Cluster count, affinity mode, and k-means controls."""
+    """Cluster count, affinity mode, and k-means seed."""
 
     n_clusters: int
     affinity_mode: str = "sym"
-    kmeans_restarts: int = 20
-    kmeans_max_iters: int = 300
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -73,8 +73,6 @@ class SpectralConfig:
             raise ConfigError(
                 f"affinity_mode must be one of {AFFINITY_MODES}, got {self.affinity_mode!r}"
             )
-        as_count(self.kmeans_restarts, "kmeans_restarts")
-        as_count(self.kmeans_max_iters, "kmeans_max_iters")
         as_count(self.seed, "seed", 0)
 
 
@@ -185,13 +183,7 @@ def spectral_cluster(a, cfg: SpectralConfig) -> np.ndarray:
     scale = np.where(row_norms > 0, row_norms, 1.0)
     embedding = embedding / scale[:, None]
 
-    labels, _ = kmeans(
-        embedding,
-        cfg.n_clusters,
-        restarts=cfg.kmeans_restarts,
-        max_iters=cfg.kmeans_max_iters,
-        seed=cfg.seed,
-    )
+    labels, _ = kmeans(embedding, cfg.n_clusters, seed=cfg.seed)
     return labels
 
 
@@ -225,7 +217,7 @@ def _sparse_embedding(graph: scipy.sparse.csr_array, inv_sqrt: np.ndarray, k: in
 def kmeans(
     points: np.ndarray,
     k: int,
-    restarts: int = 20,
+    restarts: int = KMEANS_RESTARTS,
     max_iters: int = 300,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
@@ -234,7 +226,8 @@ def kmeans(
     Seeding is distance-weighted (each new center drawn with probability
     proportional to squared distance from the chosen set). The restart with
     the lowest objective wins, ties going to the lowest restart index, so
-    the result depends only on the seed.
+    the result depends only on the seed. Points whose squared distances
+    overflow raise NumericError.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -253,7 +246,8 @@ def kmeans(
         if objective < best_objective:
             best_labels = labels
             best_objective = objective
-    assert best_labels is not None
+    if best_labels is None:  # every restart's objective overflowed
+        raise NumericError("k-means objective overflowed; rescale the points")
     return best_labels, float(best_objective)
 
 
@@ -264,6 +258,8 @@ def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     closest = ((points - centers[0]) ** 2).sum(axis=1)
     for i in range(1, k):
         total = closest.sum()
+        if not np.isfinite(total):
+            raise NumericError("squared distances between points overflow; rescale the points")
         if total > 0:
             idx = rng.choice(n, p=closest / total)
         else:

@@ -74,6 +74,17 @@ class TestPipelineCommand:
             "error_rate", "labels",
         ]
 
+    def test_document_records_the_k_means_seed(self, tmp_path):
+        out = tmp_path / "result.txt"
+        manifest = RunManifest(
+            solver=SolverConfig(),
+            spectral=SpectralConfig(n_clusters=2, seed=5),
+            synthetic=SyntheticSpec(12, 2, 2, 8, 0.01, seed=7),
+            output=out,
+        )
+        run_pipeline(manifest)
+        assert "seed: 5" in out.read_text().splitlines()
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"

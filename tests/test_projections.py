@@ -188,6 +188,11 @@ class TestVectorizedColumns:
         assert support.min() < TOP_M                       # settled on the first partition
         assert np.any((support >= TOP_M) & (support < TOP_M * TOP_M_GROWTH))  # a larger m
         assert support.max() >= TOP_M * TOP_M_GROWTH       # the full sort
+        # Large scales, and a column where w_1 + (s - w_1) rounds to 0.
+        for big in [m * scale for scale in (1e16, 1e100, 1e300)] + [np.array([[1e20], [0.0]])]:
+            out = project_columns_scaled_simplex(big, 0.5)
+            for j in range(big.shape[1]):
+                np.testing.assert_array_equal(out[:, j], project_scaled_simplex(big[:, j], 0.5))
 
     def test_simplex_ties_at_the_threshold(self):
         # u = [2, 1, 1, ...] with s = 1 puts the tied entries exactly on the

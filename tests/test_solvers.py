@@ -13,6 +13,7 @@ from simplexsc import (
     generate_synthetic,
     frobenius_distance,
     precompute_kernel,
+    project_scaled_simplex,
     regularized_gram_inverse,
     solve,
     solve_lsr,
@@ -396,15 +397,16 @@ class TestLowRankKernel:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", recording)
-        tracemalloc.start()
-        try:
-            solve(x, SolverConfig())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert started == []
-        # C, Z, U and two more N x N arrays at a time; a sixth would add 11.5 MB.
-        assert peak <= (5 * n * n + 8 * r * n) * 8
+        for cfg in (SolverConfig(), SolverConfig(zero_diagonal=True)):
+            tracemalloc.start()
+            try:
+                solve(x, cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert started == []
+            # C, Z, U and two more N x N arrays at a time; a sixth would add 11.5 MB.
+            assert peak <= (5 * n * n + 8 * r * n) * 8, cfg
 
     @pytest.mark.parametrize(
         "model, zero_diagonal", [("ssrsc", False), ("nlsr", False), ("slsr", False), ("ssrsc", True)]
@@ -445,6 +447,18 @@ class TestZeroDiagonalStep:
             off = np.delete(v[:, j], j)[:, None]
             expected = _project_columns_simplex(off, 0.5)[:, 0]
             np.testing.assert_allclose(np.delete(out[:, j], j), expected, rtol=0, atol=1e-15)
+        # Bit for bit against the vector projection, for n across TOP_M. In
+        # the constant columns near 2**52 a diagonal written only s + 1 below
+        # the minimum would enter the support through rounding.
+        for n in (2, 32, 33, 300):
+            inputs = [rng.standard_normal((n, n)) * scale for scale in (1e-300, 1.0, 1e300)]
+            inputs += [np.full((n, n), 2.0**52 + 4), np.full((n, n), -(2.0**52 + 12))]
+            for v0 in inputs:
+                out = _project_off_diagonal(v0.copy(), 0.5)
+                np.testing.assert_array_equal(np.diag(out), np.zeros(n))
+                for j in range(n):
+                    expected = project_scaled_simplex(np.delete(v0[:, j], j), 0.5)
+                    np.testing.assert_array_equal(np.delete(out[:, j], j), expected)
 
     def test_fixture_solve_reaches_the_zero_diagonal_optimum(self):
         x = generate_synthetic(SyntheticSpec(30, 4, 3, 50, 0.05, seed=1)).data

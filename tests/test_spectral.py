@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -219,6 +220,11 @@ class TestKmeans:
         with pytest.raises(NumericError):
             kmeans(np.array([[bad, 0.0], [0.0, 1.0], [1.0, 0.0]]), 2)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_overflowing_distances_raise_numeric_error(self, k):
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            kmeans(np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 0.0]]), k)
+
 
 class TestSpectralConfig:
     @pytest.mark.parametrize(
@@ -227,15 +233,15 @@ class TestSpectralConfig:
             {"n_clusters": 0},
             {"n_clusters": 2.0},
             {"n_clusters": 2, "affinity_mode": "cosine"},
-            {"n_clusters": 2, "kmeans_restarts": 0},
-            {"n_clusters": 2, "kmeans_restarts": 1.5},
-            {"n_clusters": 2, "kmeans_max_iters": 0},
             {"n_clusters": 2, "seed": -1},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
             SpectralConfig(**kwargs)
+
+    def test_fields(self):
+        assert [f.name for f in fields(SpectralConfig)] == ["n_clusters", "affinity_mode", "seed"]
 
 
 def planted_graph(sizes, rng, leak=0.0, isolated=0):
