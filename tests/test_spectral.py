@@ -235,6 +235,8 @@ class TestSpectralConfig:
             {"n_clusters": 2, "affinity_mode": "cosine"},
             {"n_clusters": 2, "seed": -1},
         ],
+        # Case names predate the removed kmeans_* fields, whose cases were kwargs3-5.
+        ids=["kwargs0", "kwargs1", "kwargs2", "kwargs6"],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigError):
