@@ -133,9 +133,13 @@ class ClusteringResult:
 
 
 def frobenius_distance(a, b) -> float:
-    """Frobenius norm of the difference of two equal-shaped matrices."""
+    """Frobenius norm of the difference of two equal-shaped matrices.
+
+    The sum runs in a's memory order (column-major for a Fortran-ordered a),
+    whatever b's layout is.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    return float(np.linalg.norm(np.subtract(a, b, order="F" if a.flags.f_contiguous else "C")))

@@ -7,11 +7,12 @@ one costs O(N log N) per vector via a descending sort.
 
 The matrix forms project every column with no Python loop over columns. They
 take contiguous blocks of columns, laid out as rows, so their temporaries stay
-O(N * block), and their output equals the vector projection of each column
-bit for bit. The simplex one sorts only a top-m candidate set per column
-(Duchi et al. 2008; Condat 2016): the shift depends on the entries that stay
-positive alone, and an ADMM iterate has few of them. A column whose positive
-entries reach m is retried with a larger m, up to a full sort.
+O(N * block), and their output, in the input's memory layout, equals the
+vector projection of each column bit for bit. The simplex one sorts only a
+top-m candidate set per column (Duchi et al. 2008; Condat 2016): the shift
+depends on the entries that stay positive alone, and an ADMM iterate has few
+of them. A column whose positive entries reach m is retried with a larger m,
+up to a full sort.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def project_scaled_affine(v, s: float) -> np.ndarray:
 
 
 def project_nonneg(m) -> np.ndarray:
-    """Clip a matrix (or vector) to the non-negative orthant entrywise."""
+    """Clip a matrix (or vector) to the non-negative orthant entrywise, in m's memory layout."""
     m = np.asarray(m, dtype=np.float64)
     if not np.all(np.isfinite(m)):
         raise NumericError("input contains non-finite values")
@@ -68,7 +69,8 @@ def project_nonneg(m) -> np.ndarray:
 
 
 # Columns projected together: each block is copied into a contiguous
-# (block x N) array, so this width bounds the temporaries.
+# (block x N) array, so this width bounds the temporaries. The ADMM loop
+# projects blocks of this many rows of Z^T.
 PROJECTION_BLOCK = 256
 # Candidates per column on the first simplex pass, and the factor by which the
 # candidate set grows for the columns that need more.
@@ -127,8 +129,9 @@ def _simplex_shifts(rows: np.ndarray, s: float) -> np.ndarray:
 def project_columns_scaled_simplex(m, s: float) -> np.ndarray:
     """Apply the scaled-simplex projection to every column of a matrix.
 
-    Equals project_scaled_simplex on each column bit for bit; returns a
-    C-ordered array.
+    Equals project_scaled_simplex on each column bit for bit; the output
+    takes m's memory layout, so a Fortran-ordered m (the transpose of a
+    block of rows) is read and written contiguously.
     """
     m = _finite_matrix(m)
     if not np.isfinite(s) or s <= 0:
@@ -137,7 +140,7 @@ def project_columns_scaled_simplex(m, s: float) -> np.ndarray:
     for start in range(0, m.shape[1], PROJECTION_BLOCK):
         cols = slice(start, start + PROJECTION_BLOCK)
         beta[cols] = _simplex_shifts(m[:, cols].T.copy(), s)
-    out = np.add(m, beta, out=np.empty(m.shape))
+    out = np.add(m, beta, out=np.empty_like(m))
     return np.maximum(out, 0.0, out=out)
 
 
@@ -145,7 +148,7 @@ def project_columns_scaled_affine(m, s: float) -> np.ndarray:
     """Apply the scaled-affine projection to every column of a matrix.
 
     Equals project_scaled_affine on each column bit for bit (each column is
-    summed as one contiguous row); returns a C-ordered array.
+    summed as one contiguous row); the output takes m's memory layout.
     """
     m = _finite_matrix(m)
     if not np.isfinite(s):
@@ -153,5 +156,5 @@ def project_columns_scaled_affine(m, s: float) -> np.ndarray:
     shift = np.empty(m.shape[1])
     for start in range(0, m.shape[1], PROJECTION_BLOCK):
         cols = slice(start, start + PROJECTION_BLOCK)
-        shift[cols] = (s - m[:, cols].T.copy().sum(axis=1)) / m.shape[0]
-    return np.add(m, shift, out=np.empty(m.shape))
+        shift[cols] = (s - np.ascontiguousarray(m[:, cols].T).sum(axis=1)) / m.shape[0]
+    return np.add(m, shift, out=np.empty_like(m))

@@ -9,26 +9,26 @@ differ only in the constraint set:
     ssrsc  columns on the scale-s simplex (>= 0 and sum to s)
 
 The three constrained models run one ADMM core in scaled form (Boyd et al.
-2011): a ridge update of C against the current feasible iterate, a projection
-update of Z, and a dual ascent on the scaled multiplier U = Delta/rho. A model
-enters the core through a ridge shift, a scale and a projection alone, all
-taken from one table. nlsr puts lam on the C-step: shift (2*lam+rho)/2, and Z
-is C - U clipped to C >= 0. ssrsc and slsr put it on the Z-step: shift rho/2,
-and Z is rho/(2*lam+rho) * (C - U) projected onto the simplex or the
-hyperplane; ssrsc with ``zero_diagonal`` first writes each column's diagonal
-entry more than s below the column's minimum, which the same simplex
-projection then sends to exactly 0 without changing the other entries.
+2011): a ridge update of C, a projection update of Z and a dual ascent on
+U = Delta/rho, with a ridge shift, a scale and a projection per model from
+one table. nlsr puts lam on the C-step (shift (2*lam+rho)/2) and clips
+C - U to C >= 0. ssrsc and slsr put it on the Z-step (shift rho/2) and
+project rho/(2*lam+rho) * (C - U) onto the simplex or the hyperplane;
+ssrsc with ``zero_diagonal`` first writes each column's diagonal entry
+more than s below the column's minimum, which the same simplex projection
+sends to exactly 0 without changing the other entries.
 
-The ridge system X^T X + shift*I is constant, so it is factored once up front
-by one thin SVD X = U S V^T (r = min(D, N)):
-
-    (X^T X + shift*I)^{-1} M = M/shift + V diag(1/(s^2+shift) - 1/shift) V^T M
-
-A C-step then costs O(rN^2) per iteration instead of O(N^3); the factors V^T
-and s^2/(s^2+shift) are the solvers' only form of the ridge system, and lsr's
-closed form is V diag(s^2/(s^2+lam)) V^T. ``regularized_gram_inverse`` builds
-the explicit N x N inverse, directly or by the Woodbury identity (a D x D
-inversion), as a reference; no solver calls it.
+The ridge system X^T X + shift*I is factored once by one thin SVD
+X = U S V^T (r = min(D, N)) into V^T and ridge = s^2/(s^2+shift); lsr's
+closed form is V diag(ridge) V^T, and ``regularized_gram_inverse`` builds
+the explicit inverse only as a reference. With V^T V = I, neither C nor U
+is ever formed: U = S + V M and, for a = rho/(2*shift) (1 for ssrsc and
+slsr), C = a(Z + S) + V(a M + W), W from ``_c_step_factor``; the dual step
+gives S_new = Z_new - (a Z + (a-1) S) and M_new = (1-a) M - W. The loop
+keeps two N x N arrays, Z^T and S^T (one row per point), and the r x N M,
+P = V^T Z and R = V^T S. Each 256-row block of Z^T takes one GEMM for its
+rows of C - U and is projected and written back; one more GEMM gives P,
+and the residuals come from the blocks' norms and O(rN) factor terms.
 
 Solves run on one thread and one BLAS thread (see ``blas``), so their bits do
 not depend on the BLAS thread count.
@@ -41,17 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import single_blas_thread
-from .core import (
-    ConfigError,
-    DivergenceError,
-    NumericError,
-    SolverConfig,
-    as_data_matrix,
-)
+from .core import ConfigError, DivergenceError, NumericError, SolverConfig, as_data_matrix
 from .projections import (
-    project_columns_scaled_affine,
-    project_columns_scaled_simplex,
-    project_nonneg,
+    PROJECTION_BLOCK, project_columns_scaled_affine, project_columns_scaled_simplex, project_nonneg
 )
 
 GRAM_INVERSE_MODES = ("direct", "woodbury", "auto")
@@ -144,50 +136,55 @@ def solve_lsr(x, lam: float) -> np.ndarray:
     return kernel.vt.T @ (kernel.ridge[:, None] * kernel.vt)
 
 
-def _c_step(kernel: PrecomputedKernel, z, u, weight: float) -> np.ndarray:
-    """(X^T X + shift*I)^{-1} (X^T X + R) with R = rho/2 * (Z + U), U = Delta/rho.
+def _c_step_factor(kernel: PrecomputedKernel, vty: np.ndarray, weight: float) -> np.ndarray:
+    """W = diag(ridge)(V^T - weight V^T Y), with which the C-step is C = weight * Y + V W.
 
-    Through the kernel's factors this is Q + V diag(ridge) (V^T - V^T Q) with
-    Q = R/shift = weight * (Z + U), weight = rho/(2*shift): 4rN^2 flops.
+    C = (X^T X + shift*I)^{-1} (X^T X + rho/2 Y), Y = Z + U, weight = rho/(2*shift).
     """
-    q = np.add(z, u)
-    if weight != 1.0:  # ssrsc and slsr have weight 1: no pass over N x N for it
-        q *= weight
-    inner = kernel.vt @ q
-    np.subtract(kernel.vt, inner, out=inner)
-    inner *= kernel.ridge[:, None]
-    q += kernel.vt.T @ inner
-    return q
+    return kernel.ridge[:, None] * (kernel.vt - weight * vty)
 
 
-def _project_off_diagonal(v: np.ndarray, s: float) -> np.ndarray:
-    """Project each column of a square v, without its diagonal entry, onto the scale-s simplex.
+def _project_off_diagonal(v: np.ndarray, s: float, offset: int = 0) -> np.ndarray:
+    """Project each column j of v, without its entry offset + j, onto the scale-s simplex.
 
-    Overwrites v's diagonal with a value more than s below the column's
-    other entries: it fails the simplex test and projects to 0, and the
-    shift and the other entries are those of the column without it, bit for
-    bit. A non-finite column minimum makes that value non-finite, and the
-    projection raises.
+    Overwrites that entry (the diagonal, for offset 0 on a square v) with a
+    value more than s below the column's others: it projects to 0, and the
+    rest of the column to its projection without it, bit for bit. A
+    non-finite column minimum or left-out entry makes the value NaN or -inf,
+    and the projection raises.
     """
+    cols = np.arange(v.shape[1])
     low = v.min(axis=0)
     # Without |low|, low - (s + 1) can round back to low (2**54 - 1.5 ==
-    # 2**54) or come within the rounding error of the column's sums.
+    # 2**54) or come within the rounding error of the column's sums; 0 * a
+    # non-finite entry is NaN.
     with np.errstate(invalid="ignore", over="ignore"):
-        np.fill_diagonal(v, low - np.abs(low) - (s + 1.0))
+        v[offset + cols, cols] = low - np.abs(low) - (s + 1.0) + 0.0 * v[offset + cols, cols]
     return project_columns_scaled_simplex(v, s)
+
+
+def _split_norm(dense_sq: float, vt_dense: np.ndarray, factor: np.ndarray, weights=1.0) -> float:
+    """||(I - V V^T) D + V (weights * (V^T D + F))||_F from ||D||_F^2, V^T D and F.
+
+    By V^T V = I its square is (||D||^2 - ||V^T D||^2) + ||weights * (V^T D + F)||^2,
+    which cancels far less than ||D||^2 + 2<V^T D, F> + ||F||^2 (weights 1).
+    """
+    outside = dense_sq - np.vdot(vt_dense, vt_dense)  # >= 0 up to rounding; NaN stays NaN
+    inside = weights * (vt_dense + factor)
+    return float(np.sqrt(max(outside, 0.0) + np.vdot(inside, inside)))
 
 
 # Per constrained model: whether lam rides on the C-step (in the ridge shift)
 # rather than on the Z-step (as a scale of its input), and the Z-step
-# projection. The projections name this module's globals, looked up at call
-# time, so that a tracer can swap them.
+# projection of Z's columns start, start + 1, ...; it names this module's
+# globals, looked up at call time, so that a tracer can swap them.
 _ADMM_MODELS = {
-    "nlsr": (True, lambda v, cfg: project_nonneg(v)),
-    "slsr": (False, lambda v, cfg: project_columns_scaled_affine(v, cfg.s)),
+    "nlsr": (True, lambda v, cfg, start: project_nonneg(v)),
+    "slsr": (False, lambda v, cfg, start: project_columns_scaled_affine(v, cfg.s)),
     "ssrsc": (
         False,
-        lambda v, cfg: (
-            _project_off_diagonal(v, cfg.s)
+        lambda v, cfg, start: (
+            _project_off_diagonal(v, cfg.s, start)
             if cfg.zero_diagonal
             else project_columns_scaled_simplex(v, cfg.s)
         ),
@@ -196,14 +193,13 @@ _ADMM_MODELS = {
 
 
 def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
-    """ADMM for a constrained model in scaled form: ridge C-step, projection Z-step, dual ascent.
+    """ADMM for a constrained model in scaled form on Z^T, S^T and r x N factors.
 
-    The multiplier is kept scaled, U = Delta/rho (Boyd et al. 2011, sec. 3.1.1).
-    All three iterates start at zero. The Z-step projects scale * (C - U) and
-    the dual step is U += Z - C. Stops when the equality gap and both
-    successive-change residuals are simultaneously <= tol, or after max_iters
-    iterations. Returns Z, the iterate that satisfies the model's constraints
-    exactly. Raises DivergenceError when an iterate turns non-finite.
+    All iterates start at zero (see the module docstring for the algebra).
+    Stops when the three residuals are simultaneously <= tol, or after
+    max_iters iterations. Returns Z, the iterate that satisfies the model's
+    constraints exactly, as the transpose of the C-ordered Z^T. Raises
+    DivergenceError when an iterate turns non-finite.
     """
     if cfg.model != model:
         raise ConfigError(f"solve_{model} requires model {model!r}, got {cfg.model!r}")
@@ -216,47 +212,59 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
         shift, scale = 0.5 * (2.0 * cfg.lam + cfg.rho), 1.0
     else:
         shift, scale = 0.5 * cfg.rho, cfg.rho / (2.0 * cfg.lam + cfg.rho)
-    weight = 0.5 * cfg.rho / shift
+    a = 0.5 * cfg.rho / shift  # exactly 1 for ssrsc and slsr: their S-terms drop out
     with single_blas_thread():
         kernel = precompute_kernel(x, shift)
-        c = np.zeros((n, n))
-        z = np.zeros((n, n))
-        u = np.zeros((n, n))
+        vt = kernel.vt
+        zt, st = np.zeros((n, n)), np.zeros((n, n))
+        p, r, m = (np.zeros_like(vt) for _ in range(3))
+        # One block's scratch, reused: fresh pages for every block cost more
+        # than the arithmetic at N = 400.
+        buffers = np.empty((2, min(n, PROJECTION_BLOCK), n))
+        # C_0 = 0 and C_1 = V diag(ridge) V^T; after that, C_k+1 - C_k =
+        # a (I - V diag(ridge) V^T)(Y_k - Y_k-1), Y = Z + U, whose dense
+        # part the previous iteration's blocks measure.
+        c_change = float(np.linalg.norm(kernel.ridge))
         history: list[tuple[float, float, float]] = []
         converged = False
         for _ in range(cfg.max_iters):
-            c_next = _c_step(kernel, z, u, weight)
-            # The residuals, the Z-step input and the dual step take no new
-            # N x N array (a fresh one costs its page zeroing, ~7 ms at
-            # N = 3000): the previous C's array holds C_k - C_k+1, then
-            # scale * (C - U), then Z - C (every projection returns a new
-            # array), and is freed before the next C-step; the previous Z's
-            # holds Z_k - Z_k+1. a - b is exactly -(b - a), so the norms are
-            # unchanged.
-            c_change = float(np.linalg.norm(np.subtract(c, c_next, out=c)))
-            v = np.subtract(c_next, u, out=c)
-            c = c_next
-            v *= scale
-            # The projection's finiteness scan is the loop's only one; the
-            # zero-diagonal projection overwrites the diagonal, whose
-            # non-finite entries then show in the gap.
-            try:
-                z_next = project(v, cfg)
-            except NumericError as exc:
-                raise DivergenceError("ADMM iterates became non-finite") from exc
-            step = np.subtract(z_next, c, out=v)
-            gap = float(np.linalg.norm(step))
-            if not np.isfinite(gap):
+            w = _c_step_factor(kernel, p + r + m, a)
+            f = w if a == 1.0 else (a - 1.0) * m + w
+            dense_sq = np.zeros(3)  # ||Z_new - Z||^2, ||S_new - S||^2, ||their sum||^2
+            for start in range(0, n, PROJECTION_BLOCK):
+                rows = slice(start, start + PROJECTION_BLOCK)
+                v, ds = buffers[:, : min(PROJECTION_BLOCK, n - start)]
+                h = zt[rows] if a == 1.0 else a * zt[rows] + (a - 1.0) * st[rows]
+                np.matmul(f[:, rows].T, vt, out=v)  # rows of (C - U)^T = h + f^T V^T
+                v += h
+                if scale != 1.0:
+                    v *= scale
+                # The projection's finiteness scan is the loop's only one.
+                try:
+                    z_next = project(v.T, cfg, start).T
+                except NumericError as exc:
+                    raise DivergenceError("ADMM iterates became non-finite") from exc
+                s_next = np.subtract(z_next, h, out=v)
+                dz = s_next if a == 1.0 else z_next - zt[rows]
+                np.subtract(s_next, st[rows], out=ds)
+                dense_sq[:2] += np.vdot(dz, dz), np.vdot(ds, ds)
+                ds += dz
+                dense_sq[2] += np.vdot(ds, ds)
+                st[rows], zt[rows] = s_next, z_next
+                del h, z_next, s_next, dz  # else they outlive the next block's
+            p_next = vt @ zt.T
+            dp, dm = p_next - p, -(a * m + w)
+            dr = dp - r if a == 1.0 else p_next - a * (p + r)
+            row = (_split_norm(dense_sq[1], dr, dm), c_change, float(np.sqrt(dense_sq[0])))
+            if not np.all(np.isfinite(row)):
                 raise DivergenceError("ADMM iterates became non-finite")
-            u += step
-            del v, step
-            z_change = float(np.linalg.norm(np.subtract(z, z_next, out=z)))
-            z = z_next
-            history.append((gap, c_change, z_change))
-            if max(history[-1]) <= cfg.tol:
-                converged = True
+            history.append(row)
+            c_change = a * _split_norm(dense_sq[2], dp + dr, dm, 1.0 - kernel.ridge[:, None])
+            p, r, m = p_next, r + dr, m + dm
+            converged = max(row) <= cfg.tol
+            if converged:
                 break
-    return SolveResult(coefficients=z, residual_history=history, converged=converged)
+    return SolveResult(coefficients=zt.T, residual_history=history, converged=converged)
 
 
 def solve_ssrsc(x, cfg: SolverConfig) -> SolveResult:
@@ -277,9 +285,5 @@ def solve_slsr(x, cfg: SolverConfig) -> SolveResult:
 def solve(x, cfg: SolverConfig) -> SolveResult:
     """Run the solver selected by cfg.model on a D x N data matrix."""
     if cfg.model == "lsr":
-        return SolveResult(
-            coefficients=solve_lsr(x, cfg.lam),
-            residual_history=[],
-            converged=True,
-        )
+        return SolveResult(coefficients=solve_lsr(x, cfg.lam), converged=True)
     return _solve_admm(x, cfg, cfg.model)

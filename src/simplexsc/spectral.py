@@ -80,14 +80,18 @@ def build_affinity(c, mode: str = "sym") -> np.ndarray:
     """Symmetrize a coefficient matrix into an affinity graph.
 
     "sym" returns (C + C^T)/2 and preserves sign; "abs" returns
-    (|C| + |C^T|)/2. Either output is exactly symmetric by construction.
+    (|C| + |C^T|)/2. Either output is exactly symmetric by construction and
+    C-ordered, whatever C's layout; it is built in place, so besides C it
+    takes one N x N array ("sym") or two ("abs").
     """
     c = as_square_matrix(c, name="coefficient matrix")
-    if mode == "sym":
-        return (c + c.T) / 2.0
+    if mode not in AFFINITY_MODES:
+        raise ConfigError(f"mode must be one of {AFFINITY_MODES}, got {mode!r}")
     if mode == "abs":
-        return (np.abs(c) + np.abs(c.T)) / 2.0
-    raise ConfigError(f"mode must be one of {AFFINITY_MODES}, got {mode!r}")
+        c = np.abs(c)
+    out = np.add(c, c.T, order="C")
+    out /= 2.0
+    return out
 
 
 def symmetric_eigendecomposition(m, count: int | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -129,24 +129,31 @@ def admm_with_inverse(x, inverse, model, lam, s, rho, iters):
     C = inverse (X^T X + rho/2 (Z + U)), Z = proj(scale (C - U)) and
     U += Z - C, with scale 1 for nlsr and rho/(2*lam+rho) otherwise; the
     projection clips to C >= 0 (nlsr), shifts columns to sum s (slsr) or
-    projects them onto the scale-s simplex (ssrsc). Returns Z.
+    projects them onto the scale-s simplex (ssrsc). Returns Z and, per step,
+    the dense norms (||Z - C||, ||C - C_prev||, ||Z - Z_prev||).
     """
     gram = x.T @ x
     n = gram.shape[0]
     z = np.zeros((n, n))
     u = np.zeros((n, n))
+    c_prev = np.zeros((n, n))
     scale = 1.0 if model == "nlsr" else rho / (2.0 * lam + rho)
+    history = []
     for _ in range(iters):
         c = inverse @ (gram + rho / 2.0 * (z + u))
         v = scale * (c - u)
         if model == "nlsr":
-            z = np.maximum(v, 0.0)
+            z_next = np.maximum(v, 0.0)
         elif model == "slsr":
-            z = v + (s - v.sum(axis=0)) / n
+            z_next = v + (s - v.sum(axis=0)) / n
         else:
-            z = _project_columns_simplex(v, s)
-        u += z - c
-    return z
+            z_next = _project_columns_simplex(v, s)
+        u += z_next - c
+        history.append(
+            (np.linalg.norm(z_next - c), np.linalg.norm(c - c_prev), np.linalg.norm(z_next - z))
+        )
+        z, c_prev = z_next, c
+    return z, history
 
 
 def pgd_ssrsc_oracle(x, lam, s, iters=100_000):

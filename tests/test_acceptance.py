@@ -131,7 +131,7 @@ def test_criterion_04_woodbury_equivalence():
                 result = solve(x, cfg)
                 for mode in ("direct", "woodbury"):
                     inverse = regularized_gram_inverse(x, shift, mode=mode)
-                    reference = admm_with_inverse(
+                    reference, _ = admm_with_inverse(
                         x, inverse, model, cfg.lam, cfg.s, cfg.rho, result.iterations_used
                     )
                     assert frobenius_distance(result.coefficients, reference) <= 1e-6

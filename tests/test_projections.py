@@ -215,10 +215,29 @@ class TestVectorizedColumns:
         kept = m.copy()
         out = project_columns_scaled_simplex(m, 0.5)
         np.testing.assert_array_equal(m, kept)
-        assert out.flags.c_contiguous and project_columns_scaled_affine(m, 0.5).flags.c_contiguous
+        assert out.flags.f_contiguous and project_columns_scaled_affine(m, 0.5).flags.f_contiguous
         np.testing.assert_array_equal(out, project_columns_scaled_simplex(kept, 0.5))
         for j in range(width):
             np.testing.assert_array_equal(out[:, j], project_scaled_simplex(kept[:, j], 0.5))
+
+    @pytest.mark.parametrize(
+        "project",
+        [
+            lambda m: project_columns_scaled_simplex(m, 0.5),
+            lambda m: project_columns_scaled_affine(m, 0.5),
+            project_nonneg,
+        ],
+        ids=["simplex", "affine", "nonneg"],
+    )
+    def test_fortran_order_gives_the_same_bits_in_its_own_layout(self, project):
+        # A block of rows of Z^T, projected through its transpose, comes back
+        # as a block of rows with no strided copy.
+        rows = self.mixed_matrix(300, np.random.default_rng(44)).T.copy()
+        by_columns = project(rows.T)
+        assert by_columns.flags.f_contiguous and by_columns.T.flags.c_contiguous
+        reference = project(np.ascontiguousarray(rows.T))
+        assert reference.flags.c_contiguous
+        np.testing.assert_array_equal(by_columns, reference)
 
     def test_affine_equals_vector_projection(self):
         rng = np.random.default_rng(42)

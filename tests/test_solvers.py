@@ -23,7 +23,7 @@ from simplexsc import (
 )
 from simplexsc import solvers
 from simplexsc.core import MODELS
-from simplexsc.solvers import _c_step, _project_off_diagonal
+from simplexsc.solvers import _c_step_factor, _project_off_diagonal
 
 from oracles import (
     _project_columns_simplex,
@@ -253,10 +253,35 @@ class TestWoodburyEquivalence:
         result = solve(x, cfg)
         for mode in ("direct", "woodbury"):
             inverse = regularized_gram_inverse(x, shift, mode=mode)
-            reference = admm_with_inverse(
+            reference, _ = admm_with_inverse(
                 x, inverse, model, cfg.lam, cfg.s, cfg.rho, result.iterations_used
             )
             assert frobenius_distance(result.coefficients, reference) <= 1e-6
+
+
+class TestResidualHistory:
+    # D < N, D >= N (V^T is N x N, so the orthogonal split's outside part is
+    # all rounding) and N = 257 (two blocks of rows, the second of one row).
+    @pytest.mark.parametrize("shape", [(6, 40), (12, 9), (5, 257)], ids=["D < N", "D >= N", "N = 257"])
+    @pytest.mark.parametrize("model", ["ssrsc", "nlsr", "slsr"])
+    def test_matches_the_dense_norms_of_explicit_admm(self, model, shape):
+        x = np.random.default_rng(59).standard_normal(shape)
+        cfg = SolverConfig(model=model, max_iters=300, tol=1e-300)
+        shift = (2 * cfg.lam + cfg.rho) / 2 if model == "nlsr" else cfg.rho / 2
+        result = solve(x, cfg)
+        direct, woodbury = (
+            np.array(admm_with_inverse(
+                x, regularized_gram_inverse(x, shift, mode=mode), model, cfg.lam, cfg.s, cfg.rho, 300
+            )[1])
+            for mode in ("direct", "woodbury")
+        )
+        assert len(result.residual_history) == 300
+        assert all(type(value) is float for row in result.residual_history for value in row)
+        # nlsr and slsr reach the rounding floor within 300 steps, where the
+        # reference shows the rounding of its explicit inverse (up to ~1e-11
+        # at N = 257): the two inverses' disagreement measures it.
+        floor = np.abs(direct - woodbury).max()
+        np.testing.assert_allclose(result.residual_history, direct, rtol=1e-9, atol=1e-13 + 2 * floor)
 
 
 class TestBoundaryProperty:
@@ -359,7 +384,8 @@ class TestLowRankKernel:
         assert kernel.vt.shape == (min(x.shape), n)
         z = rng.random((n, n))
         delta = rng.standard_normal((n, n))
-        c = _c_step(kernel, z, delta / 0.5, 0.5 / (2.0 * shift))
+        weight, y = 0.5 / (2.0 * shift), z + delta / 0.5
+        c = weight * y + kernel.vt.T @ _c_step_factor(kernel, kernel.vt @ y, weight)
         expected = regularized_gram_inverse(x, shift) @ (x.T @ x + 0.25 * z + 0.5 * delta)
         np.testing.assert_allclose(c, expected, rtol=1e-10, atol=1e-10)
 
@@ -405,25 +431,26 @@ class TestLowRankKernel:
             finally:
                 tracemalloc.stop()
             assert started == []
-            # C, Z, U and two more N x N arrays at a time; a sixth would add 11.5 MB.
-            assert peak <= (5 * n * n + 8 * r * n) * 8, cfg
+            # Z^T, S^T and a few 256-row blocks; the dense loop held C, Z, U
+            # and two more N x N arrays, and half of one more adds 5.8 MB.
+            assert peak <= (3.5 * n * n + 8 * r * n) * 8, cfg
 
     @pytest.mark.parametrize(
         "model, zero_diagonal", [("ssrsc", False), ("nlsr", False), ("slsr", False), ("ssrsc", True)]
     )
     @pytest.mark.parametrize("where", ["column", "diagonal"])
     def test_non_finite_c_step_raises_divergence_error(self, model, zero_diagonal, where, monkeypatch):
-        c_step = solvers._c_step
+        # An infinite C-step output shows in the Z-step input, scale * (C - U).
+        lam_on_c_step, project = solvers._ADMM_MODELS[model]
 
-        def overflowing(*args):
-            c = c_step(*args)
+        def overflowing(v, cfg, start):
             if where == "column":
-                c[:, 2] = np.inf
+                v[:, 2] = np.inf
             else:  # the entry the zero-diagonal projection leaves out
-                c[2, 2] = np.inf
-            return c
+                v[2, 2] = np.inf
+            return project(v, cfg, start)
 
-        monkeypatch.setattr(solvers, "_c_step", overflowing)
+        monkeypatch.setitem(solvers._ADMM_MODELS, model, (lam_on_c_step, overflowing))
         x = np.random.default_rng(58).standard_normal((4, 10))
         cfg = SolverConfig(model=model, zero_diagonal=zero_diagonal, max_iters=1)
         with pytest.raises(DivergenceError):
@@ -459,6 +486,17 @@ class TestZeroDiagonalStep:
                 for j in range(n):
                     expected = project_scaled_simplex(np.delete(v0[:, j], j), 0.5)
                     np.testing.assert_array_equal(np.delete(out[:, j], j), expected)
+
+    def test_a_block_of_columns_leaves_out_its_own_diagonal_entries(self):
+        # The ADMM loop passes column blocks of Z with their first column's index.
+        v = np.random.default_rng(60).standard_normal((300, 300))
+        whole = _project_off_diagonal(v.copy(), 0.5)
+        for start in (0, 256):
+            block = np.asfortranarray(v[:, start : start + 256])
+            np.testing.assert_array_equal(_project_off_diagonal(block, 0.5, start), whole[:, start : start + 256])
+        x = np.random.default_rng(61).standard_normal((5, 300))
+        z = solve(x, SolverConfig(zero_diagonal=True, max_iters=3)).coefficients
+        np.testing.assert_array_equal(np.diag(z), np.zeros(300))
 
     def test_fixture_solve_reaches_the_zero_diagonal_optimum(self):
         x = generate_synthetic(SyntheticSpec(30, 4, 3, 50, 0.05, seed=1)).data

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
@@ -57,6 +58,29 @@ class TestBuildAffinity:
         rng = np.random.default_rng(3)
         c = np.abs(rng.standard_normal((10, 10)))
         assert np.all(build_affinity(c, "sym") >= 0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("mode", ["sym", "abs"])
+    def test_either_layout_gives_the_same_bits_in_c_order(self, mode, order):
+        c = np.asarray(np.random.default_rng(4).standard_normal((200, 200)), order=order)
+        expected = (c + c.T) / 2.0 if mode == "sym" else (np.abs(c) + np.abs(c.T)) / 2.0
+        out = build_affinity(c, mode)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("mode, arrays", [("sym", 1), ("abs", 2)])
+    def test_builds_in_place(self, mode, arrays):
+        # A solver's Z is Fortran-ordered; besides it, "sym" takes only the
+        # output and "abs" the output and |Z|.
+        n = 600
+        c = np.asfortranarray(np.random.default_rng(5).standard_normal((n, n)))
+        tracemalloc.start()
+        try:
+            build_affinity(c, mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (arrays + 0.1) * n * n * 8
 
     def test_rejects_rectangular(self):
         with pytest.raises(ShapeError):
