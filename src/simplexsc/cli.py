@@ -114,7 +114,6 @@ def run_pipeline(manifest: RunManifest) -> ClusteringResult:
     result = ClusteringResult(
         labels=labels,
         residual_history=solved.residual_history,
-        iterations_used=solved.iterations_used,
         wall_time_seconds=perf_counter() - start,
         converged=solved.converged,
         error_rate=error,

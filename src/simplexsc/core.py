@@ -63,13 +63,11 @@ def as_data_matrix(values) -> np.ndarray:
     return x
 
 
-def as_square_matrix(values, n: int | None = None, name: str = "matrix") -> np.ndarray:
-    """Validate ``values`` as a finite square matrix, optionally of size n."""
+def as_square_matrix(values, name: str = "matrix") -> np.ndarray:
+    """Validate ``values`` as a finite square matrix."""
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {m.shape}")
-    if n is not None and m.shape[0] != n:
-        raise ShapeError(f"{name} must be {n}x{n}, got {m.shape[0]}x{m.shape[0]}")
     if not np.all(np.isfinite(m)):
         raise NumericError(f"{name} contains non-finite values")
     return m
@@ -116,20 +114,18 @@ class ClusteringResult:
 
     labels: np.ndarray
     residual_history: list[tuple[float, float, float]]
-    iterations_used: int
     wall_time_seconds: float
     converged: bool
     error_rate: float | None = None
 
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.residual_history) != self.iterations_used:
-            raise ConfigError(
-                "residual_history length must equal iterations_used "
-                f"({len(self.residual_history)} != {self.iterations_used})"
-            )
         if self.error_rate is not None and not 0.0 <= self.error_rate <= 1.0:
             raise ConfigError(f"error_rate must be in [0, 1], got {self.error_rate}")
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.residual_history)
 
 
 def frobenius_distance(a, b) -> float:

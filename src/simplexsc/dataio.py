@@ -62,10 +62,6 @@ class LabeledDataset:
                     f"({self.labels.shape} vs N={self.data.shape[1]})"
                 )
 
-    @property
-    def n_points(self) -> int:
-        return self.data.shape[1]
-
 
 def generate_synthetic(spec: SyntheticSpec) -> LabeledDataset:
     """Draw a seeded sample of unit-norm points from n random subspaces.
@@ -155,10 +151,13 @@ def load_csv(path, has_header: bool = True) -> LabeledDataset:
     labels = None
     if has_labels:
         raw = values[:, -1]
-        if np.any(raw != np.round(raw)):
-            bad = int(np.nonzero(raw != np.round(raw))[0][0])
+        # Past 2**53 the float parse no longer keeps integers apart.
+        invalid = (raw != np.round(raw)) | ~(np.abs(raw) <= 2.0**53)
+        if np.any(invalid):
+            bad = int(np.argmax(invalid))
             raise ParseError(
-                f"{path}: row {rows[bad][0]}: label {raw[bad]!r} is not an integer"
+                f"{path}: row {rows[bad][0]}: label {rows[bad][1][-1].strip()!r} "
+                "is not an integer of magnitude at most 2**53"
             )
         labels = raw.astype(np.int64)
         values = values[:, :-1]
@@ -195,7 +194,7 @@ def pca_project(data, target_dim: int) -> np.ndarray:
     """
     x = as_data_matrix(data)
     d, n = x.shape
-    if not 1 <= target_dim <= min(d, n):
+    if as_count(target_dim, "target_dim") > min(d, n):
         raise ConfigError(
             f"target_dim must be in [1, min(D, N)] = [1, {min(d, n)}], got {target_dim}"
         )

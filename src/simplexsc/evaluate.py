@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
@@ -88,36 +87,25 @@ class AblationReport:
 
     rows: list[AblationRow]
 
-    def to_csv(self, path_or_buffer) -> None:
+    def to_csv(self, path) -> None:
         """Write rows as CSV (error_rate empty for failed rows)."""
-        if hasattr(path_or_buffer, "write"):
-            self._write_csv(path_or_buffer)
-        else:
-            with open(path_or_buffer, "w", newline="", encoding="utf-8") as handle:
-                self._write_csv(handle)
-
-    def _write_csv(self, handle) -> None:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["model", "lambda", "s", "error_rate", "wall_time_seconds", "iterations_used", "failure"]
-        )
-        for row in self.rows:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
             writer.writerow(
-                [
-                    row.model,
-                    repr(row.lam),
-                    repr(row.s),
-                    "" if row.error_rate is None else repr(row.error_rate),
-                    repr(row.wall_time_seconds),
-                    row.iterations_used,
-                    row.failure or "",
-                ]
+                ["model", "lambda", "s", "error_rate", "wall_time_seconds", "iterations_used", "failure"]
             )
-
-    def to_csv_string(self) -> str:
-        buffer = io.StringIO()
-        self._write_csv(buffer)
-        return buffer.getvalue()
+            for row in self.rows:
+                writer.writerow(
+                    [
+                        row.model,
+                        repr(row.lam),
+                        repr(row.s),
+                        "" if row.error_rate is None else repr(row.error_rate),
+                        repr(row.wall_time_seconds),
+                        row.iterations_used,
+                        row.failure or "",
+                    ]
+                )
 
     def format_table(self) -> str:
         """Human-readable aligned table."""

@@ -5,14 +5,14 @@ Three constraint sets appear across the solvers: the scaled simplex
 and the non-negative orthant. Each projection is closed-form; the simplex
 one costs O(N log N) per vector via a descending sort.
 
-The matrix forms project every column with no Python loop over columns. They
-take contiguous blocks of columns, laid out as rows, so their temporaries stay
-O(N * block), and their output, in the input's memory layout, equals the
-vector projection of each column bit for bit. The simplex one sorts only a
-top-m candidate set per column (Duchi et al. 2008; Condat 2016): the shift
-depends on the entries that stay positive alone, and an ADMM iterate has few
-of them. A column whose positive entries reach m is retried with a larger m,
-up to a full sort.
+The matrix forms project every column in one pass with no Python loop over
+columns, so a call on an N x width matrix takes O(N * width) temporaries (the
+ADMM loop hands them one row block of Z^T at a time); their output, in the
+input's memory layout, equals the vector projection of each column bit for
+bit. The simplex one sorts only a top-m candidate set per column (Duchi et
+al. 2008; Condat 2016): the shift depends on the entries that stay positive
+alone, and an ADMM iterate has few of them. A column whose positive entries
+reach m is retried with a larger m, up to a full sort.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ def project_nonneg(m) -> np.ndarray:
     return np.maximum(m, 0.0)
 
 
-# Columns projected together: each block is copied into a contiguous
-# (block x N) array, so this width bounds the temporaries. The ADMM loop
-# projects blocks of this many rows of Z^T.
-PROJECTION_BLOCK = 256
 # Candidates per column on the first simplex pass, and the factor by which the
 # candidate set grows for the columns that need more.
 TOP_M = 32
@@ -100,7 +96,7 @@ def _simplex_shifts(rows: np.ndarray, s: float) -> np.ndarray:
     out positive and the full sort would find the same last positive entry.
     """
     count, n = rows.shape
-    largest = max(rows.max(), -rows.min())
+    largest = max(rows.max(initial=0.0), -rows.min(initial=0.0))  # 0 for no rows
     slack = 2.0 * (n + 4) * np.finfo(np.float64).eps * (abs(s) + n * largest)
     beta = np.empty(count)
     pending = np.arange(count)
@@ -136,10 +132,7 @@ def project_columns_scaled_simplex(m, s: float) -> np.ndarray:
     m = _finite_matrix(m)
     if not np.isfinite(s) or s <= 0:
         raise ConfigError(f"simplex scale s must be positive, got {s}")
-    beta = np.empty(m.shape[1])
-    for start in range(0, m.shape[1], PROJECTION_BLOCK):
-        cols = slice(start, start + PROJECTION_BLOCK)
-        beta[cols] = _simplex_shifts(m[:, cols].T.copy(), s)
+    beta = _simplex_shifts(m.T.copy(), s)
     out = np.add(m, beta, out=np.empty_like(m))
     return np.maximum(out, 0.0, out=out)
 
@@ -153,8 +146,5 @@ def project_columns_scaled_affine(m, s: float) -> np.ndarray:
     m = _finite_matrix(m)
     if not np.isfinite(s):
         raise NumericError(f"hyperplane target s must be finite, got {s}")
-    shift = np.empty(m.shape[1])
-    for start in range(0, m.shape[1], PROJECTION_BLOCK):
-        cols = slice(start, start + PROJECTION_BLOCK)
-        shift[cols] = (s - np.ascontiguousarray(m[:, cols].T).sum(axis=1)) / m.shape[0]
+    shift = (s - np.ascontiguousarray(m.T).sum(axis=1)) / m.shape[0]
     return np.add(m, shift, out=np.empty_like(m))

@@ -42,11 +42,12 @@ import numpy as np
 
 from .blas import single_blas_thread
 from .core import ConfigError, DivergenceError, NumericError, SolverConfig, as_data_matrix
-from .projections import (
-    PROJECTION_BLOCK, project_columns_scaled_affine, project_columns_scaled_simplex, project_nonneg
-)
+from .projections import project_columns_scaled_affine, project_columns_scaled_simplex, project_nonneg
 
 GRAM_INVERSE_MODES = ("direct", "woodbury", "auto")
+# Rows of Z^T that the ADMM loop updates and projects together: this width
+# bounds the loop's block scratch and each projection call's temporaries.
+PROJECTION_BLOCK = 256
 
 @dataclass(frozen=True)
 class PrecomputedKernel:

@@ -4,7 +4,8 @@ The affinity is either the plain symmetric average (C + C^T)/2, meant for
 non-negative coefficient matrices, or the absolute symmetrization
 (|C| + |C^T|)/2 used when coefficients may be signed. Segmentation embeds
 points via the bottom eigenvectors of the symmetric normalized Laplacian,
-row-normalizes the embedding, and runs seeded multi-restart k-means.
+row-normalizes the embedding, and runs k-means with a fixed number of seeded
+restarts.
 Spectral clustering runs on one BLAS thread (see ``blas``), so its result
 does not depend on the BLAS thread count, and it computes only the
 n_clusters eigenvectors it embeds with.
@@ -55,8 +56,9 @@ SPARSE_EIGEN_MIN_N = 1000
 LANCZOS_SEED = 0
 # ARPACK restart cycles before the Lanczos eigensolve gives up.
 LANCZOS_MAX_RESTARTS = 300
-# Seeded k-means restarts per spectral_cluster call (kmeans's default).
+# Seeded k-means restarts per kmeans call, and Lloyd assignments per restart.
 KMEANS_RESTARTS = 20
+KMEANS_MAX_ITERS = 300
 
 
 @dataclass(frozen=True)
@@ -218,20 +220,15 @@ def _sparse_embedding(graph: scipy.sparse.csr_array, inv_sqrt: np.ndarray, k: in
     return symmetric_eigendecomposition(laplacian.toarray(), k)[1]
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    restarts: int = KMEANS_RESTARTS,
-    max_iters: int = 300,
-    seed: int = 0,
-) -> tuple[np.ndarray, float]:
-    """Multi-restart Lloyd iteration; returns (labels, within-cluster SSQ).
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> tuple[np.ndarray, float]:
+    """KMEANS_RESTARTS runs of Lloyd iteration; returns (labels, within-cluster SSQ).
 
-    Seeding is distance-weighted (each new center drawn with probability
-    proportional to squared distance from the chosen set). The restart with
-    the lowest objective wins, ties going to the lowest restart index, so
-    the result depends only on the seed. Points whose squared distances
-    overflow raise NumericError.
+    The runs draw their initial centers in turn from one generator of the
+    given seed, distance-weighted (each new center drawn with probability
+    proportional to squared distance from the chosen set), and stop after at
+    most KMEANS_MAX_ITERS assignments. The run with the lowest objective wins,
+    ties going to the earliest run, so the result depends only on the seed.
+    Points whose squared distances overflow raise NumericError.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
@@ -240,13 +237,11 @@ def kmeans(
         raise NumericError("points contain non-finite values")
     if as_count(k, "k") > points.shape[0]:
         raise ConfigError(f"k must be in [1, {points.shape[0]}], got {k}")
-    as_count(restarts, "restarts")
-    as_count(max_iters, "max_iters")
     rng = np.random.default_rng(seed)
     best_labels: np.ndarray | None = None
     best_objective = np.inf
-    for _ in range(restarts):
-        labels, objective = _lloyd(points, k, rng, max_iters)
+    for _ in range(KMEANS_RESTARTS):
+        labels, objective = _lloyd(points, k, rng, KMEANS_MAX_ITERS)
         if objective < best_objective:
             best_labels = labels
             best_objective = objective

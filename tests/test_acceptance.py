@@ -84,6 +84,7 @@ def test_criterion_02_admm_feasibility():
             assert np.max(np.abs(z.sum(axis=0) - 0.5)) <= 1e-8 * 12
 
 
+@pytest.mark.slow
 def test_criterion_03_per_column_qp_oracles():
     with criterion(3, "solver columns match independent QP oracles", 120):
         rng = np.random.default_rng(303)

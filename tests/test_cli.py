@@ -14,8 +14,11 @@ from simplexsc import (
     SolverConfig,
     SpectralConfig,
     SyntheticSpec,
+    build_affinity,
     generate_synthetic,
     save_csv,
+    solve,
+    spectral_cluster,
 )
 from simplexsc.cli import RunManifest, build_parser, main, parse_synthetic_spec, run_pipeline
 from simplexsc.core import AFFINITY_MODES, MODELS, ConfigError, NumericError
@@ -281,3 +284,41 @@ class TestDegenerateInputs:
             assert (Path(workdir) / "result.txt").exists()
         assert result.labels.shape == (n,)
         assert result.labels.min() >= 0 and result.labels.max() < k
+
+
+class TestDegenerateInputsAtScale:
+    """The degenerate kinds on a two-block solve (N=300) and on the CSR/Lanczos path (N=1000).
+
+    The stages are called directly: parsing a 1000-point CSV costs about 1 s.
+    """
+
+    @staticmethod
+    def points(kind: str, n: int) -> np.ndarray:
+        rng = np.random.default_rng(n)
+        if kind == "rank-deficient":
+            return rng.standard_normal((20, 4)) @ rng.standard_normal((4, n))
+        x = rng.standard_normal((20, n))
+        if kind == "duplicate points":
+            x[:, n // 2 :] = x[:, : n - n // 2]
+        else:
+            x[:, n // 3] = 0.0
+        return x
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    @pytest.mark.parametrize("kind", ["duplicate points", "zero column", "rank-deficient"])
+    @pytest.mark.parametrize("n", [300, pytest.param(1000, marks=pytest.mark.slow)])
+    def test_stages_end_in_valid_labels_or_a_typed_error(self, n, kind, scale, model):
+        try:
+            z = solve(self.points(kind, n) * scale, SolverConfig(model=model)).coefficients
+        except (ConfigError, NumericError):
+            return
+        for affinity in AFFINITY_MODES:
+            try:
+                labels = spectral_cluster(
+                    build_affinity(z, affinity), SpectralConfig(n_clusters=3, affinity_mode=affinity)
+                )
+            except (ConfigError, NumericError):
+                continue
+            assert labels.shape == (n,)
+            assert labels.min() >= 0 and labels.max() < 3

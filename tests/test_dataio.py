@@ -144,6 +144,25 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="integer"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            # Cast to int64, inf, 1e300 and 2e300 would all become -2**63.
+            ("a,b,label\n1,2,inf\n3,4,1e300\n5,6,2e300\n", "row 2: label 'inf'"),
+            # +-2**53 load; 2**53 + 2 does not.
+            (
+                "a,label\n1,9007199254740992\n2,-9007199254740992\n3,9007199254740994\n",
+                "row 4: label '9007199254740994'",
+            ),
+        ],
+        ids=["non-finite", "beyond 2**53"],
+    )
+    def test_non_finite_or_huge_label_rejected(self, tmp_path, text, match):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            load_csv(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_csv(tmp_path / "nope.csv")
@@ -206,3 +225,5 @@ class TestPca:
             pca_project(np.eye(3), 0)
         with pytest.raises(ConfigError):
             pca_project(np.eye(3), 4)
+        with pytest.raises(ConfigError, match="target_dim must be an integer"):
+            pca_project(np.eye(3), 2.5)

@@ -189,11 +189,11 @@ class TestRunAblation:
         for model in ("lsr", "nlsr", "slsr"):
             assert errors["ssrsc"] <= errors[model] + 0.02
 
-    def test_report_serialization(self, small_dataset):
+    def test_report_serialization(self, small_dataset, tmp_path):
         grid = [SolverConfig(model="ssrsc", lam=0.01)]
         report = run_ablation(small_dataset, grid, SpectralConfig(n_clusters=2, seed=0))
-        text = report.to_csv_string()
-        lines = text.strip().splitlines()
+        report.to_csv(tmp_path / "report.csv")
+        lines = (tmp_path / "report.csv").read_text(encoding="utf-8").strip().splitlines()
         assert lines[0].startswith("model,lambda,s,error_rate")
         assert lines[1].startswith("ssrsc,0.01,0.5,")
         table = report.format_table()

@@ -12,12 +12,12 @@ from simplexsc import (
     project_scaled_simplex,
 )
 from simplexsc.projections import (
-    PROJECTION_BLOCK,
     TOP_M,
     TOP_M_GROWTH,
     project_columns_scaled_affine,
     project_columns_scaled_simplex,
 )
+from simplexsc.solvers import PROJECTION_BLOCK
 
 from oracles import simplex_projection_oracle
 
@@ -264,3 +264,9 @@ class TestVectorizedColumns:
             project_columns_scaled_simplex(np.ones((0, 2)), 1.0)
         with pytest.raises(ConfigError):
             project_columns_scaled_affine(np.ones((0, 2)), 1.0)
+
+    @pytest.mark.parametrize(
+        "project", [project_columns_scaled_simplex, project_columns_scaled_affine], ids=["simplex", "affine"]
+    )
+    def test_zero_width_input_gives_zero_width_output(self, project):
+        assert project(np.zeros((3, 0)), 0.5).shape == (3, 0)

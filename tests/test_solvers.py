@@ -345,6 +345,30 @@ class TestAdmmCore:
         solve(np.random.default_rng(56).standard_normal((3, 7)), SolverConfig(model=model, max_iters=3))
         assert calls == [(7, 7)] * 3
 
+    @pytest.mark.parametrize(
+        "model, zero_diagonal, name",
+        [
+            ("nlsr", False, "project_nonneg"),
+            ("slsr", False, "project_columns_scaled_affine"),
+            ("ssrsc", False, "project_columns_scaled_simplex"),
+            ("ssrsc", True, "project_columns_scaled_simplex"),
+        ],
+    )
+    def test_projections_take_one_row_block_at_a_time(self, model, zero_diagonal, name, monkeypatch):
+        original = getattr(solvers, name)
+        widths = []
+
+        def recorded(*args):
+            widths.append(args[0].shape[1])
+            return original(*args)
+
+        monkeypatch.setattr(solvers, name, recorded)
+        n, block = 600, solvers.PROJECTION_BLOCK
+        x = np.random.default_rng(58).standard_normal((10, n))
+        solve(x, SolverConfig(model=model, zero_diagonal=zero_diagonal, max_iters=2, tol=1e-12))
+        assert max(widths) <= block
+        assert widths == [min(block, n - start) for start in range(0, n, block)] * 2
+
     @pytest.mark.parametrize("model", ["ssrsc", "nlsr", "slsr"])
     def test_z_change_is_the_distance_between_iterates(self, model):
         x = np.random.default_rng(57).standard_normal((4, 12))

@@ -29,7 +29,7 @@ from simplexsc import (
     symmetric_eigendecomposition,
 )
 from simplexsc import spectral
-from simplexsc.spectral import _lloyd
+from simplexsc.spectral import KMEANS_MAX_ITERS, _lloyd
 
 
 class TestBuildAffinity:
@@ -207,11 +207,12 @@ class TestKmeans:
         assert clustering_error(labels, truth) == 0.0
 
     def test_restart_count_improves_or_keeps_objective(self):
+        # The first restart is _lloyd on a fresh generator of the seed.
         rng = np.random.default_rng(10)
         points = rng.standard_normal((40, 3))
-        _, single = kmeans(points, 4, restarts=1, seed=3)
-        _, many = kmeans(points, 4, restarts=20, seed=3)
-        assert many <= single + 1e-12
+        _, best = kmeans(points, 4, seed=3)
+        _, first = _lloyd(points, 4, np.random.default_rng(3), KMEANS_MAX_ITERS)
+        assert best <= first
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
@@ -226,18 +227,11 @@ class TestKmeans:
         rng = np.random.default_rng(12)
         points = rng.standard_normal((50, 4))
         for _ in range(20):
-            _lloyd(points, 5, rng, max_iters=300)
+            _lloyd(points, 5, rng, max_iters=KMEANS_MAX_ITERS)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigError):
             kmeans(np.zeros((3, 2)), 4)
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"restarts": 0}, {"max_iters": 0}, {"restarts": 1.5}, {"max_iters": 2.0}]
-    )
-    def test_rejects_bad_restarts_and_iterations(self, kwargs):
-        with pytest.raises(ConfigError):
-            kmeans(np.arange(8.0).reshape(4, 2), 2, **kwargs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_points(self, bad):
