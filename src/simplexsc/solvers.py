@@ -220,8 +220,8 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
         zt, st = np.zeros((n, n)), np.zeros((n, n))
         p, r, m = (np.zeros_like(vt) for _ in range(3))
         # One block's scratch, reused: fresh pages for every block cost more
-        # than the arithmetic at N = 400.
-        buffers = np.empty((2, min(n, PROJECTION_BLOCK), n))
+        # than the arithmetic at N = 400. nlsr (a != 1) keeps h there too.
+        buffers = np.empty((2 if a == 1.0 else 3, min(n, PROJECTION_BLOCK), n))
         # C_0 = 0 and C_1 = V diag(ridge) V^T; after that, C_k+1 - C_k =
         # a (I - V diag(ridge) V^T)(Y_k - Y_k-1), Y = Z + U, whose dense
         # part the previous iteration's blocks measure.
@@ -234,8 +234,12 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
             dense_sq = np.zeros(3)  # ||Z_new - Z||^2, ||S_new - S||^2, ||their sum||^2
             for start in range(0, n, PROJECTION_BLOCK):
                 rows = slice(start, start + PROJECTION_BLOCK)
-                v, ds = buffers[:, : min(PROJECTION_BLOCK, n - start)]
-                h = zt[rows] if a == 1.0 else a * zt[rows] + (a - 1.0) * st[rows]
+                v, ds, *spare = buffers[:, : min(PROJECTION_BLOCK, n - start)]
+                if a == 1.0:
+                    h = zt[rows]
+                else:  # h = a * Z^T + (a - 1) * S^T
+                    (h,) = spare
+                    np.add(np.multiply(zt[rows], a, out=h), np.multiply(st[rows], a - 1.0, out=ds), out=h)
                 np.matmul(f[:, rows].T, vt, out=v)  # rows of (C - U)^T = h + f^T V^T
                 v += h
                 if scale != 1.0:
@@ -246,7 +250,7 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 except NumericError as exc:
                     raise DivergenceError("ADMM iterates became non-finite") from exc
                 s_next = np.subtract(z_next, h, out=v)
-                dz = s_next if a == 1.0 else z_next - zt[rows]
+                dz = s_next if a == 1.0 else np.subtract(z_next, zt[rows], out=h)  # h is spent
                 np.subtract(s_next, st[rows], out=ds)
                 dense_sq[:2] += np.vdot(dz, dz), np.vdot(ds, ds)
                 ds += dz

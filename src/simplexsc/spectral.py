@@ -5,7 +5,10 @@ non-negative coefficient matrices, or the absolute symmetrization
 (|C| + |C^T|)/2 used when coefficients may be signed. Segmentation embeds
 points via the bottom eigenvectors of the symmetric normalized Laplacian,
 row-normalizes the embedding, and runs k-means with a fixed number of seeded
-restarts.
+restarts. The restarts draw their seeds in turn from one generator and then
+iterate as one batch: each Lloyd step assigns every restart still moving from
+one (restarts, N, k) distance array and sums the new centers by ``bincount``,
+with the bits of one restart run alone.
 Spectral clustering runs on one BLAS thread (see ``blas``), so its result
 does not depend on the BLAS thread count, and it computes only the
 n_clusters eigenvectors it embeds with.
@@ -225,29 +228,30 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> tuple[np.ndarray, float
 
     The runs draw their initial centers in turn from one generator of the
     given seed, distance-weighted (each new center drawn with probability
-    proportional to squared distance from the chosen set), and stop after at
-    most KMEANS_MAX_ITERS assignments. The run with the lowest objective wins,
-    ties going to the earliest run, so the result depends only on the seed.
-    Points whose squared distances overflow raise NumericError.
+    proportional to squared distance from the chosen set), and then iterate
+    together, each stopping after at most KMEANS_MAX_ITERS assignments. The
+    run with the lowest objective wins, ties going to the earliest run, so the
+    result depends only on the seed. Points whose squared distances overflow
+    raise NumericError.
     """
-    points = np.asarray(points, dtype=np.float64)
+    # C order: the squared distances are summed over a contiguous last axis,
+    # so their bits do not depend on the caller's layout.
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ShapeError(f"points must be a non-empty 2-D array, got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise NumericError("points contain non-finite values")
     if as_count(k, "k") > points.shape[0]:
         raise ConfigError(f"k must be in [1, {points.shape[0]}], got {k}")
-    rng = np.random.default_rng(seed)
-    best_labels: np.ndarray | None = None
-    best_objective = np.inf
-    for _ in range(KMEANS_RESTARTS):
-        labels, objective = _lloyd(points, k, rng, KMEANS_MAX_ITERS)
-        if objective < best_objective:
-            best_labels = labels
-            best_objective = objective
-    if best_labels is None:  # every restart's objective overflowed
+    rng = np.random.default_rng(as_count(seed, "seed", 0))
+    centers = np.stack([_seed_centers(points, k, rng) for _ in range(KMEANS_RESTARTS)])
+    labels, objectives = _lloyd_restarts(points, centers, KMEANS_MAX_ITERS)
+    # An overflowed (inf or NaN) objective never wins.
+    finite = np.flatnonzero(objectives < np.inf)
+    if finite.size == 0:
         raise NumericError("k-means objective overflowed; rescale the points")
-    return best_labels, float(best_objective)
+    best = finite[np.argmin(objectives[finite])]  # the first of equal minima
+    return labels[best].copy(), float(objectives[best])
 
 
 def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -271,24 +275,57 @@ def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
 def _lloyd(
     points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int
 ) -> tuple[np.ndarray, float]:
-    centers = _seed_centers(points, k, rng)
-    previous_objective = np.inf
-    previous_labels: np.ndarray | None = None
-    labels = np.zeros(points.shape[0], dtype=np.int64)
-    objective = 0.0
+    """One Lloyd run from centers seeded by ``rng``: kmeans's first run on a fresh generator."""
+    labels, objectives = _lloyd_restarts(points, _seed_centers(points, k, rng)[None], max_iters)
+    return labels[0], float(objectives[0])
+
+
+def _lloyd_restarts(
+    points: np.ndarray, centers: np.ndarray, max_iters: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iteration of R runs at once from their R x k x d initial centers (updated in place).
+
+    Each run stops when its labels repeat or after max_iters assignments, and
+    returns its last labels (R x N) and objective (R). Every step gives each
+    run the bits a run of its own would get: a squared distance is
+    ``((p - c) ** 2).sum()`` over a contiguous last axis, and the centers are
+    member sums in point order (as ``mean(axis=0)`` adds them, from two
+    columns on) divided by the member counts; empty clusters keep their center.
+    """
+    n_runs, k, d = centers.shape
+    n = points.shape[0]
+    coordinates = np.ascontiguousarray(points.T)
+    labels = np.full((n_runs, n), -1, dtype=np.intp)  # no run repeats at the first step
+    objectives = np.full(n_runs, np.inf)
+    active = np.arange(n_runs)
     for _ in range(max_iters):
-        # argmin breaks assignment ties by lowest center index
-        distances = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(distances, axis=1)
-        objective = float(distances[np.arange(points.shape[0]), labels].sum())
-        if np.isfinite(previous_objective):
-            assert objective <= previous_objective + 1e-9 * (1.0 + previous_objective)
-        if previous_labels is not None and np.array_equal(labels, previous_labels):
+        # One center at a time: the (active, N, k, d) broadcast would hold k
+        # times the memory for the same bits.
+        distances = np.empty((active.size, n, k))
+        for j in range(k):
+            distances[:, :, j] = ((points - centers[active, j, None, :]) ** 2).sum(axis=-1)
+        assigned = distances.argmin(axis=2)  # ties go to the lowest center index
+        objective = np.take_along_axis(distances, assigned[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        del distances  # room for the center sums
+        previous = objectives[active]
+        finite = np.isfinite(previous)
+        assert np.all(objective[finite] <= previous[finite] + 1e-9 * (1.0 + previous[finite]))
+        moving = (assigned != labels[active]).any(axis=1)
+        labels[active] = assigned
+        objectives[active] = objective
+        active, assigned = active[moving], assigned[moving]
+        if active.size == 0:
             break
-        previous_labels = labels
-        previous_objective = objective
-        for i in range(k):
-            members = labels == i
-            if members.any():  # empty clusters keep their center
-                centers[i] = points[members].mean(axis=0)
-    return labels, objective
+        # Bin r*k + label of each active run r, laid out one coordinate after another.
+        bins = (assigned + k * np.arange(active.size)[:, None]).ravel()
+        n_bins = active.size * k
+        counts = np.bincount(bins, minlength=n_bins)
+        sums = np.bincount(
+            (bins + n_bins * np.arange(d)[:, None]).ravel(),
+            weights=np.broadcast_to(coordinates[:, None, :], (d, active.size, n)).ravel(),
+            minlength=d * n_bins,
+        )
+        moved = centers[active].reshape(n_bins, d)
+        np.divide(sums.reshape(d, n_bins).T, counts[:, None], out=moved, where=counts[:, None] > 0)
+        centers[active] = moved.reshape(active.size, k, d)
+    return labels, objectives

@@ -172,6 +172,44 @@ def pgd_ssrsc_oracle(x, lam, s, iters=100_000):
     return c
 
 
+def kmeans_reference(points, k, seed, restarts=20, max_iters=300):
+    """Seeded k-means, one restart after another and one cluster mean at a time.
+
+    Each restart draws distance-weighted initial centers from one generator
+    of ``seed``, then runs Lloyd steps until its labels repeat or max_iters
+    assignments; the lowest finite objective wins, the earliest on ties.
+    Returns (labels, objective), or (None, inf) when every objective overflows.
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    best_labels, best_objective = None, np.inf
+    for _ in range(restarts):
+        centers = np.empty((k, points.shape[1]))
+        centers[0] = points[rng.integers(n)]
+        closest = ((points - centers[0]) ** 2).sum(axis=1)
+        for i in range(1, k):
+            total = closest.sum()
+            idx = rng.choice(n, p=closest / total) if total > 0 else rng.integers(n)
+            centers[i] = points[idx]
+            closest = np.minimum(closest, ((points - centers[i]) ** 2).sum(axis=1))
+        previous_labels = None
+        for _ in range(max_iters):
+            distances = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            labels = np.argmin(distances, axis=1)
+            objective = float(distances[np.arange(n), labels].sum())
+            if previous_labels is not None and np.array_equal(labels, previous_labels):
+                break
+            previous_labels = labels
+            for i in range(k):
+                members = labels == i
+                if members.any():
+                    centers[i] = points[members].mean(axis=0)
+        if objective < best_objective:
+            best_labels, best_objective = labels, objective
+    return best_labels, best_objective
+
+
 def exhaustive_permutation_error(pred, truth):
     """Best-permutation misassignment rate by trying every label bijection."""
     pred = np.asarray(pred)

@@ -29,7 +29,8 @@ from simplexsc import (
     symmetric_eigendecomposition,
 )
 from simplexsc import spectral
-from simplexsc.spectral import KMEANS_MAX_ITERS, _lloyd
+from simplexsc.spectral import KMEANS_MAX_ITERS, KMEANS_RESTARTS, _lloyd
+from oracles import kmeans_reference
 
 
 class TestBuildAffinity:
@@ -242,6 +243,89 @@ class TestKmeans:
     def test_overflowing_distances_raise_numeric_error(self, k):
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             kmeans(np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 0.0]]), k)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ConfigError):
+            kmeans(np.arange(8.0).reshape(4, 2), 2, seed=seed)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 200),
+        d=st.integers(2, 4),
+        k=st.integers(1, 6),
+        kind=st.sampled_from(["normal", "integer grid", "few distinct points"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_restart_by_restart_reference(self, seed, n, d, k, kind):
+        # Integer grids give exact ties between centers; fewer distinct points
+        # than k give duplicate seeds and clusters that stay empty.
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        if kind == "normal":
+            points = rng.standard_normal((n, d))
+        elif kind == "integer grid":
+            points = rng.integers(-2, 3, (n, d)).astype(float)
+        else:
+            distinct = rng.standard_normal((int(rng.integers(1, k + 1)), d))
+            points = distinct[rng.integers(0, distinct.shape[0], n)]
+        labels, objective = kmeans(points, k, seed=seed)
+        expected_labels, expected_objective = kmeans_reference(points, k, seed, KMEANS_RESTARTS, KMEANS_MAX_ITERS)
+        np.testing.assert_array_equal(labels, expected_labels)
+        assert objective == expected_objective
+
+    def test_one_column_points_agree_with_the_reference_to_rounding(self):
+        # numpy's mean sums a one-column member array pairwise, kmeans in
+        # point order, so the centers and the objective may differ in the
+        # last bits; from two columns on both add in point order.
+        rng = np.random.default_rng(14)
+        for trial in range(40):
+            points = rng.standard_normal((int(rng.integers(10, 200)), 1))
+            k = int(rng.integers(1, 7))
+            labels, objective = kmeans(points, k, seed=trial)
+            expected_labels, expected_objective = kmeans_reference(
+                points, k, trial, KMEANS_RESTARTS, KMEANS_MAX_ITERS
+            )
+            np.testing.assert_array_equal(labels, expected_labels)
+            assert objective == pytest.approx(expected_objective, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_lloyd_on_a_fresh_generator_is_the_first_restart(self, seed, monkeypatch):
+        points = np.random.default_rng(15).standard_normal((60, 3))
+        labels, objective = _lloyd(points, 4, np.random.default_rng(seed), KMEANS_MAX_ITERS)
+        expected_labels, expected_objective = kmeans_reference(points, 4, seed, 1, KMEANS_MAX_ITERS)
+        np.testing.assert_array_equal(labels, expected_labels)
+        assert objective == expected_objective
+        monkeypatch.setattr(spectral, "KMEANS_RESTARTS", 1)
+        first_labels, first_objective = kmeans(points, 4, seed=seed)
+        np.testing.assert_array_equal(first_labels, labels)
+        assert first_objective == objective
+
+    def test_labels_do_not_depend_on_the_memory_layout(self):
+        # A Fortran-ordered array summed its squared distances in another
+        # order, which changed the objective in 3 of these 20 trials.
+        rng = np.random.default_rng(16)
+        for trial in range(20):
+            points = rng.standard_normal((40, 12))
+            c_labels, c_objective = kmeans(points, 4, seed=trial)
+            f_labels, f_objective = kmeans(np.asfortranarray(points), 4, seed=trial)
+            np.testing.assert_array_equal(f_labels, c_labels)
+            assert f_objective == c_objective
+
+    @pytest.mark.slow
+    def test_memory_at_n3000_k5(self):
+        rng = np.random.default_rng(17)
+        points = np.repeat(rng.standard_normal((5, 5)) * 3, 600, axis=0) + rng.standard_normal((3000, 5))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            labels, _ = kmeans(points, 5, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (3000,)
+        # The (20, N, k, d) broadcast of every distance at once took 21 MB.
+        assert peak <= 12e6
 
 
 class TestSpectralConfig:
