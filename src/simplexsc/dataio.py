@@ -8,6 +8,7 @@ to the internal column-per-point layout on load.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,6 +112,46 @@ def load_csv(path, has_header: bool = True) -> LabeledDataset:
     (1-based, counting the header row).
     """
     path = Path(path)
+    dataset = _load_plain_csv(path, has_header)
+    return dataset if dataset is not None else _load_csv_cells(path, has_header)
+
+
+def _invalid_labels(raw: np.ndarray) -> np.ndarray:
+    # Past 2**53 the float parse no longer keeps integers apart.
+    return (raw != np.round(raw)) | ~(np.abs(raw) <= 2.0**53)
+
+
+def _load_plain_csv(path: Path, has_header: bool) -> LabeledDataset | None:
+    """load_csv's dataset by np.loadtxt, or None where the cell-by-cell reader must decide.
+
+    That reader alone unquotes cells, takes Python's float syntax where it
+    goes beyond numpy's (``1_0``) and names the row and column of an error.
+    The header is read by the csv module; any data np.loadtxt rejects, and
+    any header or label that would be an error, goes to that reader.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            lines = iter(handle.readline, "")
+            header = next((row for row in csv.reader(lines) if row), None) if has_header else []
+            first = next((line for line in lines if line.strip("\r\n")), None)  # csv skips the others
+            if header is None or first is None:
+                return None
+            values = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError, csv.Error):  # ValueError: numpy's parse errors, decoding errors
+        return None
+    width = values.shape[1]
+    has_labels = bool(header) and header[-1].strip() == "label"
+    if (header and len(header) != width) or (has_labels and width < 2):
+        return None
+    if not has_labels:
+        return LabeledDataset(values.T)
+    if np.any(_invalid_labels(values[:, -1])):
+        return None
+    return LabeledDataset(values[:, :-1].T, values[:, -1].astype(np.int64))
+
+
+def _load_csv_cells(path: Path, has_header: bool) -> LabeledDataset:
+    """load_csv, cell by cell through the csv module and float()."""
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             rows = [(number, row) for number, row in enumerate(csv.reader(handle), start=1)]
@@ -151,8 +192,7 @@ def load_csv(path, has_header: bool = True) -> LabeledDataset:
     labels = None
     if has_labels:
         raw = values[:, -1]
-        # Past 2**53 the float parse no longer keeps integers apart.
-        invalid = (raw != np.round(raw)) | ~(np.abs(raw) <= 2.0**53)
+        invalid = _invalid_labels(raw)
         if np.any(invalid):
             bad = int(np.argmax(invalid))
             raise ParseError(

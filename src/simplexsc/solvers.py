@@ -26,16 +26,24 @@ is ever formed: U = S + V M and, for a = rho/(2*shift) (1 for ssrsc and
 slsr), C = a(Z + S) + V(a M + W), W from ``_c_step_factor``; the dual step
 gives S_new = Z_new - (a Z + (a-1) S) and M_new = (1-a) M - W. The loop
 keeps two N x N arrays, Z^T and S^T (one row per point), and the r x N M,
-P = V^T Z and R = V^T S. Each 256-row block of Z^T takes one GEMM for its
-rows of C - U and is projected and written back; one more GEMM gives P,
-and the residuals come from the blocks' norms and O(rN) factor terms.
+P = V^T Z and R = V^T S. Each 256-row block of Z^T is one task: a GEMM for
+its rows of C - U, the projection in place in the task's scratch, its rows
+of Z^T and S^T, three partial squared norms and its columns of P; the
+residuals come from the blocks' norms, added in block order, and O(rN)
+factor terms.
 
-Solves run on one thread and one BLAS thread (see ``blas``), so their bits do
-not depend on the BLAS thread count.
+Solves run on one BLAS thread (see ``blas``), so their bits do not depend on
+the BLAS thread count. A solve of 4 blocks or more spreads its block tasks
+over helper threads (``_block_threads``); a task computes the same bits on
+any thread, so Z and the residual history do not depend on the number of
+threads either.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,14 +153,14 @@ def _c_step_factor(kernel: PrecomputedKernel, vty: np.ndarray, weight: float) ->
     return kernel.ridge[:, None] * (kernel.vt - weight * vty)
 
 
-def _project_off_diagonal(v: np.ndarray, s: float, offset: int = 0) -> np.ndarray:
+def _project_off_diagonal(v: np.ndarray, s: float, offset: int = 0, **buffers) -> np.ndarray:
     """Project each column j of v, without its entry offset + j, onto the scale-s simplex.
 
     Overwrites that entry (the diagonal, for offset 0 on a square v) with a
     value more than s below the column's others: it projects to 0, and the
     rest of the column to its projection without it, bit for bit. A
     non-finite column minimum or left-out entry makes the value NaN or -inf,
-    and the projection raises.
+    and the projection raises. ``buffers`` (out, scratch) go to the projection.
     """
     cols = np.arange(v.shape[1])
     low = v.min(axis=0)
@@ -161,7 +169,7 @@ def _project_off_diagonal(v: np.ndarray, s: float, offset: int = 0) -> np.ndarra
     # non-finite entry is NaN.
     with np.errstate(invalid="ignore", over="ignore"):
         v[offset + cols, cols] = low - np.abs(low) - (s + 1.0) + 0.0 * v[offset + cols, cols]
-    return project_columns_scaled_simplex(v, s)
+    return project_columns_scaled_simplex(v, s, **buffers)
 
 
 def _split_norm(dense_sq: float, vt_dense: np.ndarray, factor: np.ndarray, weights=1.0) -> float:
@@ -176,21 +184,69 @@ def _split_norm(dense_sq: float, vt_dense: np.ndarray, factor: np.ndarray, weigh
 
 
 # Per constrained model: whether lam rides on the C-step (in the ridge shift)
-# rather than on the Z-step (as a scale of its input), and the Z-step
-# projection of Z's columns start, start + 1, ...; it names this module's
-# globals, looked up at call time, so that a tracer can swap them.
+# rather than on the Z-step (as a scale of its input), and the Z-step: it
+# projects Z's columns start, start + 1, ... of v in place, ssrsc with the
+# block-sized scratch. It names this module's globals, looked up at call
+# time, so that a tracer can swap them.
 _ADMM_MODELS = {
-    "nlsr": (True, lambda v, cfg, start: project_nonneg(v)),
-    "slsr": (False, lambda v, cfg, start: project_columns_scaled_affine(v, cfg.s)),
+    "nlsr": (True, lambda v, cfg, start, scratch: project_nonneg(v, out=v)),
+    "slsr": (False, lambda v, cfg, start, scratch: project_columns_scaled_affine(v, cfg.s, out=v)),
     "ssrsc": (
         False,
-        lambda v, cfg, start: (
-            _project_off_diagonal(v, cfg.s, start)
+        lambda v, cfg, start, scratch: (
+            _project_off_diagonal(v, cfg.s, start, out=v, scratch=scratch)
             if cfg.zero_diagonal
-            else project_columns_scaled_simplex(v, cfg.s)
+            else project_columns_scaled_simplex(v, cfg.s, out=v, scratch=scratch)
         ),
     ),
 }
+
+
+def _block_threads(n: int) -> int:
+    """Threads for the row blocks of an N-point solve; 1 runs them on the caller's.
+
+    One per core that this process may run on, but few enough that their
+    scratch (two blocks each) holds no more than one N x N array: the
+    N=1200 default solve peaked at 3.4-3.5 N^2 doubles on two threads. So a
+    solve of fewer than 4 blocks (N < 1024) stays serial.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cores, n // (2 * PROJECTION_BLOCK)))
+
+
+@contextmanager
+def _block_runner(threads: int, scratch_shape: tuple[int, ...]):
+    """Yield run(task, blocks), which returns [task(rows, scratch) for rows in blocks].
+
+    With one thread the tasks run on the caller's, with one scratch array.
+    Otherwise they run on a pool of that many helper threads, each of which
+    owns one scratch array; every helper is joined before the block exits,
+    also on an exception, and the blocks not yet started are dropped.
+    """
+    if threads == 1:
+        scratch = np.empty(scratch_shape)
+        yield lambda task, blocks: [task(rows, scratch) for rows in blocks]
+        return
+    from concurrent.futures import ThreadPoolExecutor  # serial solves skip the import
+
+    owned = threading.local()
+
+    def allocate() -> None:
+        owned.scratch = np.empty(scratch_shape)
+
+    def with_scratch(task, rows):
+        return task(rows, owned.scratch)
+
+    def run(task, blocks):
+        futures = [pool.submit(with_scratch, task, rows) for rows in blocks]
+        try:
+            return [future.result() for future in futures]
+        finally:
+            for future in futures:
+                future.cancel()
+
+    with ThreadPoolExecutor(threads, thread_name_prefix="simplexsc-admm", initializer=allocate) as pool:
+        yield run
 
 
 def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
@@ -214,61 +270,69 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
     else:
         shift, scale = 0.5 * cfg.rho, cfg.rho / (2.0 * cfg.lam + cfg.rho)
     a = 0.5 * cfg.rho / shift  # exactly 1 for ssrsc and slsr: their S-terms drop out
+    blocks = [slice(start, min(start + PROJECTION_BLOCK, n)) for start in range(0, n, PROJECTION_BLOCK)]
     with single_blas_thread():
         kernel = precompute_kernel(x, shift)
         vt = kernel.vt
         zt, st = np.zeros((n, n)), np.zeros((n, n))
         p, r, m = (np.zeros_like(vt) for _ in range(3))
-        # One block's scratch, reused: fresh pages for every block cost more
-        # than the arithmetic at N = 400. nlsr (a != 1) keeps h there too.
-        buffers = np.empty((2 if a == 1.0 else 3, min(n, PROJECTION_BLOCK), n))
         # C_0 = 0 and C_1 = V diag(ridge) V^T; after that, C_k+1 - C_k =
         # a (I - V diag(ridge) V^T)(Y_k - Y_k-1), Y = Z + U, whose dense
         # part the previous iteration's blocks measure.
         c_change = float(np.linalg.norm(kernel.ridge))
         history: list[tuple[float, float, float]] = []
         converged = False
-        for _ in range(cfg.max_iters):
-            w = _c_step_factor(kernel, p + r + m, a)
-            f = w if a == 1.0 else (a - 1.0) * m + w
-            dense_sq = np.zeros(3)  # ||Z_new - Z||^2, ||S_new - S||^2, ||their sum||^2
-            for start in range(0, n, PROJECTION_BLOCK):
-                rows = slice(start, start + PROJECTION_BLOCK)
-                v, ds, *spare = buffers[:, : min(PROJECTION_BLOCK, n - start)]
-                if a == 1.0:
-                    h = zt[rows]
-                else:  # h = a * Z^T + (a - 1) * S^T
-                    (h,) = spare
-                    np.add(np.multiply(zt[rows], a, out=h), np.multiply(st[rows], a - 1.0, out=ds), out=h)
-                np.matmul(f[:, rows].T, vt, out=v)  # rows of (C - U)^T = h + f^T V^T
-                v += h
-                if scale != 1.0:
-                    v *= scale
-                # The projection's finiteness scan is the loop's only one.
-                try:
-                    z_next = project(v.T, cfg, start).T
-                except NumericError as exc:
-                    raise DivergenceError("ADMM iterates became non-finite") from exc
-                s_next = np.subtract(z_next, h, out=v)
-                dz = s_next if a == 1.0 else np.subtract(z_next, zt[rows], out=h)  # h is spent
-                np.subtract(s_next, st[rows], out=ds)
-                dense_sq[:2] += np.vdot(dz, dz), np.vdot(ds, ds)
-                ds += dz
-                dense_sq[2] += np.vdot(ds, ds)
-                st[rows], zt[rows] = s_next, z_next
-                del h, z_next, s_next, dz  # else they outlive the next block's
-            p_next = vt @ zt.T
-            dp, dm = p_next - p, -(a * m + w)
-            dr = dp - r if a == 1.0 else p_next - a * (p + r)
-            row = (_split_norm(dense_sq[1], dr, dm), c_change, float(np.sqrt(dense_sq[0])))
-            if not np.all(np.isfinite(row)):
-                raise DivergenceError("ADMM iterates became non-finite")
-            history.append(row)
-            c_change = a * _split_norm(dense_sq[2], dp + dr, dm, 1.0 - kernel.ridge[:, None])
-            p, r, m = p_next, r + dr, m + dm
-            converged = max(row) <= cfg.tol
-            if converged:
-                break
+        # Each block task reuses a (2, block, N) scratch: fresh pages for
+        # every block cost more than the arithmetic at N = 400.
+        with _block_runner(_block_threads(n), (2, min(n, PROJECTION_BLOCK), n)) as run:
+            for _ in range(cfg.max_iters):
+                w = _c_step_factor(kernel, p + r + m, a)
+                f = w if a == 1.0 else (a - 1.0) * m + w
+                p_next = np.empty_like(vt)
+
+                def update(rows: slice, scratch: np.ndarray) -> list:
+                    """Z-step and dual step on one row block; its squared changes and columns of P."""
+                    v, spare = scratch[:, : rows.stop - rows.start]
+                    if a == 1.0:
+                        h = zt[rows]
+                    else:  # h = a * Z^T + (a - 1) * S^T, with v as the temporary
+                        h = np.multiply(zt[rows], a, out=spare)
+                        h += np.multiply(st[rows], a - 1.0, out=v)
+                    np.matmul(f[:, rows].T, vt, out=v)  # rows of (C - U)^T = h + f^T V^T
+                    v += h
+                    if scale != 1.0:
+                        v *= scale
+                    # In place on v; ssrsc (a = 1, so h is not in spare) uses
+                    # spare as scratch. Its finiteness scan is the loop's only one.
+                    try:
+                        z_next = project(v.T, cfg, rows.start, spare).T
+                    except NumericError as exc:
+                        raise DivergenceError("ADMM iterates became non-finite") from exc
+                    s_next = np.subtract(z_next, h, out=spare)  # h is spent
+                    # Until the stores, the rows of Z^T (nlsr) and S^T hold the changes.
+                    dz = s_next if a == 1.0 else np.subtract(z_next, zt[rows], out=zt[rows])
+                    ds = np.subtract(s_next, st[rows], out=st[rows])
+                    squares = [np.vdot(dz, dz), np.vdot(ds, ds)]  # ||Z_new - Z||^2, ||S_new - S||^2
+                    ds += dz
+                    squares.append(np.vdot(ds, ds))  # ||their sum||^2
+                    st[rows], zt[rows] = s_next, z_next
+                    p_next[:, rows] = vt @ zt[rows].T
+                    return squares
+
+                dense_sq = np.zeros(3)
+                for squares in run(update, blocks):  # summed in block order, whatever ran them
+                    dense_sq += squares
+                dp, dm = p_next - p, -(a * m + w)
+                dr = dp - r if a == 1.0 else p_next - a * (p + r)
+                row = (_split_norm(dense_sq[1], dr, dm), c_change, float(np.sqrt(dense_sq[0])))
+                if not np.all(np.isfinite(row)):
+                    raise DivergenceError("ADMM iterates became non-finite")
+                history.append(row)
+                c_change = a * _split_norm(dense_sq[2], dp + dr, dm, 1.0 - kernel.ridge[:, None])
+                p, r, m = p_next, r + dr, m + dm
+                converged = max(row) <= cfg.tol
+                if converged:
+                    break
     return SolveResult(coefficients=zt.T, residual_history=history, converged=converged)
 
 

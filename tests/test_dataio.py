@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from simplexsc import dataio
 from simplexsc import (
     ConfigError,
     LabeledDataset,
@@ -171,6 +174,90 @@ class TestCsvRoundTrip:
         ds = LabeledDataset(np.eye(2), np.array([0, 1]))
         with pytest.raises(ConfigError):
             save_csv(tmp_path / "x.csv", ds, include_header=False)
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-1e6, 1e6).map(lambda v: format(v, ".17g")),
+    st.integers(-(2**60), 2**60).map(str),
+)
+# Spellings that float() takes and np.loadtxt may not, and cells that neither takes.
+SPELLINGS = st.sampled_from(
+    ["nan", "-nan", "NaN", "inf", "-Infinity", "1_0", "1e400", "+.5", "5.", "\uff11", '"1.5"', '" 2 "',
+     "9007199254740994", "0.5"]
+)
+BAD_CELLS = st.sampled_from(["", "1__0", "_1", "0x10", "1d5", "abc", '"2,5"', '""', '"3"4'])
+PADDING = st.sampled_from(["", " ", "\t"])
+LABELS = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.integers(-5, 5).map(str),
+    st.sampled_from([" 3 ", "1_0", '"2"', "4.0", "0.5", "inf", "nan", "9007199254740994"]),
+)
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text near the plain numeric kind, and whether to read a header.
+
+    Mixes in quotes, blank lines, padding, Python-only spellings, bad cells,
+    ragged rows, headers that are missing or of the wrong width, and bad labels.
+    """
+    width = draw(st.integers(1, 4))
+    kinds = [NUMBERS] * 6 + [SPELLINGS] * draw(st.integers(0, 1)) + [BAD_CELLS] * (draw(st.integers(0, 3)) == 0)
+    cell = st.tuples(PADDING, st.one_of(*kinds), PADDING).map("".join)
+    labelled = False
+    lines = []
+    has_header = draw(st.booleans())
+    if has_header:
+        last = draw(st.sampled_from(["f", "label", " label", "x y"]))
+        labelled = last.strip() == "label"
+        names = [f"f{i}" for i in range(width - 1)] + [last]
+        lines.append(",".join(names if draw(st.integers(0, 5)) else names[:-1]))
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "", " ", "\t"])))
+        cells = draw(st.lists(cell, min_size=width, max_size=width))
+        if labelled:
+            cells[-1] = draw(LABELS)
+        if draw(st.integers(0, 9)) == 0:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text, has_header != (draw(st.integers(0, 5)) == 0)
+
+
+def loaded(load, path, has_header):
+    """What a loader made of a file: the bits of its arrays, or its error type and message."""
+    try:
+        ds = load(path, has_header)
+    except Exception as exc:  # noqa: BLE001  the two loaders must fail alike
+        return type(exc), str(exc)
+    labels = None if ds.labels is None else (ds.labels.dtype, ds.labels.tobytes())
+    return ds.data.shape, ds.data.strides, ds.data.tobytes(), labels
+
+
+class TestCsvFastPath:
+    """load_csv tries np.loadtxt first; the cell-by-cell reader must agree with it everywhere."""
+
+    @given(case=csv_files())
+    @settings(max_examples=400, deadline=None)
+    def test_loadtxt_path_and_cell_reader_agree(self, tmp_path_factory, case):
+        text, has_header = case
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert loaded(load_csv, path, has_header) == loaded(dataio._load_csv_cells, path, has_header)
+
+    def test_plain_numbers_take_the_loadtxt_path(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_text("a, b ,label\n\n1.5, -2e3,0\r\n+.5,5.,7\n")
+        fast = dataio._load_plain_csv(path, True)
+        assert fast is not None
+        assert loaded(load_csv, path, True) == loaded(dataio._load_csv_cells, path, True)
+        np.testing.assert_array_equal(fast.labels, [0, 7])
+        for text in ('a,b\n"1",2\n', "a,b\n1_0,2\n", "a,label\n1,0.5\n", "a,b\n", "a,b\n1,2\n \n"):
+            path.write_text(text)
+            assert dataio._load_plain_csv(path, True) is None, text
 
 
 class TestPca:

@@ -1,3 +1,5 @@
+import os
+import sys
 import threading
 import tracemalloc
 
@@ -36,6 +38,20 @@ from oracles import (
 )
 
 TIGHT = dict(max_iters=20000, tol=1e-10)
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Names of the threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
 
 
 def tight_cfg(model, **kwargs):
@@ -337,9 +353,9 @@ class TestAdmmCore:
         original = getattr(solvers, name)
         calls = []
 
-        def swapped(*args):
+        def swapped(*args, **kwargs):
             calls.append(args[0].shape)
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(solvers, name, swapped)
         solve(np.random.default_rng(56).standard_normal((3, 7)), SolverConfig(model=model, max_iters=3))
@@ -358,9 +374,9 @@ class TestAdmmCore:
         original = getattr(solvers, name)
         widths = []
 
-        def recorded(*args):
+        def recorded(*args, **kwargs):
             widths.append(args[0].shape[1])
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(solvers, name, recorded)
         n, block = 600, solvers.PROJECTION_BLOCK
@@ -435,27 +451,27 @@ class TestLowRankKernel:
         assert set(vars(kernel)) == {"vt", "ridge"}
         assert kernel.vt.shape == (r, 30) and kernel.ridge.shape == (r,)
 
-    def test_default_solve_is_one_thread_in_five_n_by_n_arrays(self, monkeypatch):
+    @pytest.mark.parametrize("cores", [2, 8], ids=["2 cores", "8 cores"])
+    def test_default_solve_threads_within_five_n_by_n_arrays(self, cores, monkeypatch, started_threads):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
         x = generate_synthetic(SyntheticSpec(40, 4, 4, 300, 0.01, seed=1)).data
         n, r = x.shape[1], min(x.shape)
         assert n == 1200
-        started = []
-        start = threading.Thread.start
-
-        def recording(thread):
-            started.append(thread.name)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", recording)
+        # Below 4 blocks a solve starts no thread.
+        solve(x[:, : 3 * solvers.PROJECTION_BLOCK], SolverConfig())
+        assert started_threads == []
         peaks = {}
         for cfg in (SolverConfig(), SolverConfig(zero_diagonal=True), SolverConfig(model="nlsr")):
+            started_threads.clear()
             tracemalloc.start()
             try:
                 solve(x, cfg)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert started == []
+            # Two scratch blocks per thread within one N x N array allow
+            # n // 512 = 2 threads, whatever the cores.
+            assert 1 <= len(started_threads) <= 2, started_threads
             # Z^T, S^T and a few 256-row blocks; the dense loop held C, Z, U
             # and two more N x N arrays, and half of one more adds 5.8 MB.
             assert peak <= (3.5 * n * n + 8 * r * n) * 8, cfg
@@ -472,12 +488,12 @@ class TestLowRankKernel:
         # An infinite C-step output shows in the Z-step input, scale * (C - U).
         lam_on_c_step, project = solvers._ADMM_MODELS[model]
 
-        def overflowing(v, cfg, start):
+        def overflowing(v, cfg, start, scratch):
             if where == "column":
                 v[:, 2] = np.inf
             else:  # the entry the zero-diagonal projection leaves out
                 v[2, 2] = np.inf
-            return project(v, cfg, start)
+            return project(v, cfg, start, scratch)
 
         monkeypatch.setitem(solvers._ADMM_MODELS, model, (lam_on_c_step, overflowing))
         x = np.random.default_rng(58).standard_normal((4, 10))
@@ -490,6 +506,70 @@ class TestLowRankKernel:
         data = generate_synthetic(SyntheticSpec(30, 4, 3, 50, 0.05, seed=1)).data * 1e200
         with pytest.raises(NumericError):
             solve(data, SolverConfig(model=model))
+
+
+class TestBlockThreads:
+    """Row blocks spread over helper threads give the serial loop's bits and leave no thread behind."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        x = generate_synthetic(SyntheticSpec(40, 4, 4, 256, 0.01, seed=2)).data
+        assert x.shape[1] == 4 * solvers.PROJECTION_BLOCK
+        return x
+
+    @pytest.fixture
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @pytest.mark.parametrize(
+        "model, zero_diagonal", [("ssrsc", False), ("ssrsc", True), ("nlsr", False), ("slsr", False)]
+    )
+    def test_threaded_solve_equals_serial_solve(
+        self, points, model, zero_diagonal, two_cores, monkeypatch, started_threads
+    ):
+        cfg = SolverConfig(model=model, zero_diagonal=zero_diagonal, max_iters=8, tol=1e-12)
+        before = threading.active_count()
+        threaded = solve(points, cfg)
+        helpers = len(started_threads)
+        assert 1 <= helpers <= 2
+        assert threading.active_count() == before
+        monkeypatch.setattr(solvers, "_block_threads", lambda n: 1)
+        serial = solve(points, cfg)
+        assert len(started_threads) == helpers
+        assert np.array_equal(threaded.coefficients, serial.coefficients)
+        assert np.array_equal(threaded.residual_history, serial.residual_history)
+
+    def test_more_threads_than_cores_with_short_switches_keep_the_bits(self, points, monkeypatch):
+        cfg = SolverConfig(max_iters=8, tol=1e-12)
+        monkeypatch.setattr(solvers, "_block_threads", lambda n: 1)
+        serial = solve(points, cfg)
+        monkeypatch.setattr(solvers, "_block_threads", lambda n: 4)  # one thread per block
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stressed = solve(points, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(stressed.coefficients, serial.coefficients)
+        assert np.array_equal(stressed.residual_history, serial.residual_history)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_on_a_helper_raises_divergence_error(self, points, bad, two_cores, monkeypatch):
+        lam_on_c_step, project = solvers._ADMM_MODELS["ssrsc"]
+        helpers = []
+
+        def overflowing(v, cfg, start, scratch):
+            if start == 2 * solvers.PROJECTION_BLOCK:
+                helpers.append(threading.current_thread() is not threading.main_thread())
+                v[5, 7] = bad
+            return project(v, cfg, start, scratch)
+
+        monkeypatch.setitem(solvers._ADMM_MODELS, "ssrsc", (lam_on_c_step, overflowing))
+        before = threading.active_count()
+        with pytest.raises(DivergenceError):
+            solve(points, SolverConfig(max_iters=3))
+        assert helpers == [True]
+        assert threading.active_count() == before
 
 
 class TestZeroDiagonalStep:
