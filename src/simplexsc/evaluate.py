@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
+import scipy.sparse
 from scipy.optimize import linear_sum_assignment
 
 from .core import (
@@ -50,9 +51,10 @@ def affinity_diagnostics(a, truth) -> tuple[float, float, float]:
     """Split total affinity mass into within-cluster, between-cluster, and diagonal.
 
     Returns the three fractions (they sum to 1). The affinity must be
-    symmetric and non-negative with positive total mass.
+    symmetric and non-negative with positive total mass; a scipy.sparse one
+    is read as its dense form.
     """
-    a = as_square_matrix(a, name="affinity matrix")
+    a = as_square_matrix(a.toarray() if scipy.sparse.issparse(a) else a, name="affinity matrix")
     truth = np.asarray(truth).ravel()
     if truth.size != a.shape[0]:
         raise ShapeError(f"truth length {truth.size} does not match matrix size {a.shape[0]}")

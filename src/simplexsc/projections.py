@@ -95,7 +95,7 @@ def _finite_matrix(m) -> np.ndarray:
     return m
 
 
-def _simplex_shifts(rows: np.ndarray, s: float) -> np.ndarray:
+def _simplex_shifts(rows: np.ndarray, s: float, top_m: int = TOP_M) -> np.ndarray:
     """The uniform shift beta of project_scaled_simplex for every row, bit for bit.
 
     Reorders the entries of each row in place. The top m entries of a row,
@@ -116,7 +116,7 @@ def _simplex_shifts(rows: np.ndarray, s: float) -> np.ndarray:
     slack = 2.0 * (n + 4) * np.finfo(np.float64).eps * (abs(s) + n * largest)
     beta = np.empty(count)
     pending = np.arange(count)
-    m = min(TOP_M, n)
+    m = min(top_m, n)
     step = max(1, PASS_ENTRIES // n)  # rows per pass
     while pending.size:
         unsettled = []
@@ -157,7 +157,7 @@ def _top_shifts(candidates: np.ndarray, s: float, m: int, slack: float) -> tuple
     return settled, rest[settled, alpha[settled] - 1] / alpha[settled]
 
 
-def project_columns_scaled_simplex(m, s: float, *, out=None, scratch=None) -> np.ndarray:
+def project_columns_scaled_simplex(m, s: float, *, out=None, scratch=None, top_m: int = TOP_M) -> np.ndarray:
     """Apply the scaled-simplex projection to every column of a matrix.
 
     Equals project_scaled_simplex on each column bit for bit; the output
@@ -174,7 +174,7 @@ def project_columns_scaled_simplex(m, s: float, *, out=None, scratch=None) -> np
         scratch = m.T.copy()
     else:
         np.copyto(scratch, m.T)
-    beta = _simplex_shifts(scratch, s)
+    beta = _simplex_shifts(scratch, s, top_m)
     out = np.add(m, beta, out=np.empty_like(m) if out is None else out)
     return np.maximum(out, 0.0, out=out)
 

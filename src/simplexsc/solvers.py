@@ -32,6 +32,19 @@ of Z^T and S^T, three partial squared norms and its columns of P; the
 residuals come from the blocks' norms, added in block order, and O(rN)
 factor terms.
 
+ssrsc's Z is sparse and non-negative. So from ``SPARSE_EIGEN_MIN_N`` points
+on (the spectral stage's threshold), ssrsc keeps Z^T and S^T as lists of
+CSR row blocks, and a task passes a block's dense form only through its
+scratch: it adds h = Z^T[rows] at its stored entries after the GEMM,
+extracts the projection's positive entries with one scan, forms S^T and the
+squared norms on the union of the stored entries, and P's columns as
+(Z^T[rows] V)^T. A block that CSR would store in more memory than a dense
+array is kept dense. The solve then returns Z as a ``scipy.sparse``
+CSC array, the transpose of the stacked Z^T, in O(nnz + threads * 256 * N)
+memory; its projections warm-start the shift search from the previous
+iteration's supports. Z and the residuals agree with the dense loop's to
+rounding, as only the order of the sums differs.
+
 Solves run on one BLAS thread (see ``blas``), so their bits do not depend on
 the BLAS thread count. A solve of 4 blocks or more spreads its block tasks
 over helper threads (``_block_threads``); a task computes the same bits on
@@ -47,10 +60,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
+from . import spectral
 from .blas import single_blas_thread
 from .core import ConfigError, DivergenceError, NumericError, SolverConfig, as_data_matrix
-from .projections import project_columns_scaled_affine, project_columns_scaled_simplex, project_nonneg
+from .projections import TOP_M, project_columns_scaled_affine, project_columns_scaled_simplex, project_nonneg
 
 GRAM_INVERSE_MODES = ("direct", "woodbury", "auto")
 # Rows of Z^T that the ADMM loop updates and projects together: this width
@@ -80,7 +95,7 @@ class SolveResult:
     fell to <= tol simultaneously within the iteration budget.
     """
 
-    coefficients: np.ndarray
+    coefficients: np.ndarray | scipy.sparse.csc_array
     residual_history: list[tuple[float, float, float]] = field(default_factory=list)
     converged: bool = False
 
@@ -160,7 +175,7 @@ def _project_off_diagonal(v: np.ndarray, s: float, offset: int = 0, **buffers) -
     value more than s below the column's others: it projects to 0, and the
     rest of the column to its projection without it, bit for bit. A
     non-finite column minimum or left-out entry makes the value NaN or -inf,
-    and the projection raises. ``buffers`` (out, scratch) go to the projection.
+    and the projection raises. ``buffers`` (out, scratch, top_m) go to the projection.
     """
     cols = np.arange(v.shape[1])
     low = v.min(axis=0)
@@ -186,17 +201,18 @@ def _split_norm(dense_sq: float, vt_dense: np.ndarray, factor: np.ndarray, weigh
 # Per constrained model: whether lam rides on the C-step (in the ridge shift)
 # rather than on the Z-step (as a scale of its input), and the Z-step: it
 # projects Z's columns start, start + 1, ... of v in place, ssrsc with the
-# block-sized scratch. It names this module's globals, looked up at call
-# time, so that a tracer can swap them.
+# block-sized scratch and, from the CSR loop, the first candidate count of
+# its shift search. It names this module's globals, looked up at call time,
+# so that a tracer can swap them.
 _ADMM_MODELS = {
     "nlsr": (True, lambda v, cfg, start, scratch: project_nonneg(v, out=v)),
     "slsr": (False, lambda v, cfg, start, scratch: project_columns_scaled_affine(v, cfg.s, out=v)),
     "ssrsc": (
         False,
-        lambda v, cfg, start, scratch: (
-            _project_off_diagonal(v, cfg.s, start, out=v, scratch=scratch)
+        lambda v, cfg, start, scratch, top_m=TOP_M: (
+            _project_off_diagonal(v, cfg.s, start, out=v, scratch=scratch, top_m=top_m)
             if cfg.zero_diagonal
-            else project_columns_scaled_simplex(v, cfg.s, out=v, scratch=scratch)
+            else project_columns_scaled_simplex(v, cfg.s, out=v, scratch=scratch, top_m=top_m)
         ),
     ),
 }
@@ -226,6 +242,7 @@ def _block_runner(threads: int, scratch_shape: tuple[int, ...]):
     if threads == 1:
         scratch = np.empty(scratch_shape)
         yield lambda task, blocks: [task(rows, scratch) for rows in blocks]
+        del scratch  # the caller may hold run past the block
         return
     from concurrent.futures import ThreadPoolExecutor  # serial solves skip the import
 
@@ -247,6 +264,77 @@ def _block_runner(threads: int, scratch_shape: tuple[int, ...]):
 
     with ThreadPoolExecutor(threads, thread_name_prefix="simplexsc-admm", initializer=allocate) as pool:
         yield run
+
+
+# A row block of the CSR loop's Z^T or S^T is a CSR array (8 bytes of value
+# and 4 of index an entry) or, when more than 2/3 of its entries are stored,
+# a dense array, which then takes less memory.
+def _denser_than_csr(count: int, size: int) -> bool:
+    return 3 * count > 2 * size
+
+
+def _entries(block) -> tuple[np.ndarray | None, np.ndarray]:
+    """A row block's flat positions in its C-ordered dense form (None: all of them) and values."""
+    if isinstance(block, np.ndarray):
+        return None, block.reshape(-1)
+    starts = np.arange(0, block.shape[0] * block.shape[1], block.shape[1])
+    return np.repeat(starts, np.diff(block.indptr)) + block.indices, block.data
+
+
+def _apply(ufunc, flat: np.ndarray, entries: tuple[np.ndarray | None, np.ndarray]) -> None:
+    """flat = ufunc(flat, block) in place, at the block's entries: the bits of the dense operation."""
+    positions, values = entries
+    if positions is None:
+        ufunc(flat, values, out=flat)
+    else:
+        flat[positions] = ufunc(flat[positions], values)
+
+
+def _union(size: int, *positions: np.ndarray | None) -> np.ndarray | None:
+    """The sorted union of flat positions, or None if a block is dense or the union dense enough to be."""
+    if any(p is None for p in positions):
+        return None
+    mask = np.zeros(size, dtype=bool)
+    for p in positions:
+        mask[p] = True
+    union = np.flatnonzero(mask)
+    return None if _denser_than_csr(union.size, size) else union
+
+
+def _csr_block(positions: np.ndarray, values: np.ndarray, shape: tuple[int, int]) -> scipy.sparse.csr_array:
+    """The CSR block of that shape with values at sorted flat positions of its C-ordered form.
+
+    Its indices are 32-bit: a block of PROJECTION_BLOCK rows has fewer than
+    2**31 entries below 8 million points.
+    """
+    indptr = np.searchsorted(positions, np.arange(0, shape[0] * shape[1] + 1, shape[1])).astype(np.int32)
+    indices = np.remainder(positions, shape[1], dtype=np.int32, casting="unsafe")
+    return scipy.sparse.csr_array((values, indices, indptr), shape=shape)
+
+
+def _row_block(v: np.ndarray, dense: bool = True):
+    """The nonzero entries of a C-ordered block: v itself if ``dense`` and that takes less memory, else CSR."""
+    flat = v.reshape(-1)
+    nonzero = flat != 0  # with it, np.flatnonzero runs 4x faster than on the floats
+    if dense and _denser_than_csr(np.count_nonzero(nonzero), flat.size):
+        return v
+    positions = np.flatnonzero(nonzero)
+    return _csr_block(positions, flat[positions], v.shape)
+
+
+def _stacked(blocks: list) -> scipy.sparse.csr_array:
+    """The CSR loop's row blocks of Z^T stacked into one CSR array; converts dense blocks in place."""
+    for i in range(len(blocks)):
+        if isinstance(blocks[i], np.ndarray):
+            blocks[i] = _row_block(blocks[i], dense=False)
+    return scipy.sparse.vstack(blocks, format="csr")
+
+
+def _largest_row_support(block) -> int:
+    """The most nonzero entries in one row of a row block."""
+    if isinstance(block, np.ndarray):
+        return int(np.count_nonzero(block, axis=1).max())
+    return int(np.diff(block.indptr).max())
 
 
 def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
@@ -274,7 +362,15 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
     with single_blas_thread():
         kernel = precompute_kernel(x, shift)
         vt = kernel.vt
-        zt, st = np.zeros((n, n)), np.zeros((n, n))
+        # ssrsc's Z is sparse and non-negative: from SPARSE_EIGEN_MIN_N
+        # points on, Z^T and S^T are lists of CSR row blocks.
+        sparse = model == "ssrsc" and n >= spectral.SPARSE_EIGEN_MIN_N
+        if sparse:
+            zt = [scipy.sparse.csr_array((rows.stop - rows.start, n)) for rows in blocks]
+            st = list(zt)  # the blocks are replaced, never written in place
+            v_rows = np.ascontiguousarray(vt.T)
+        else:
+            zt, st = np.zeros((n, n)), np.zeros((n, n))
         p, r, m = (np.zeros_like(vt) for _ in range(3))
         # C_0 = 0 and C_1 = V diag(ridge) V^T; after that, C_k+1 - C_k =
         # a (I - V diag(ridge) V^T)(Y_k - Y_k-1), Y = Z + U, whose dense
@@ -319,8 +415,51 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                     p_next[:, rows] = vt @ zt[rows].T
                     return squares
 
+                def update_sparse(rows: slice, scratch: np.ndarray) -> list:
+                    """The step of update on one row block of the CSR loop's Z^T and S^T (ssrsc: a = 1).
+
+                    The block's dense forms pass through v alone: every
+                    operation on Z^T and S^T touches only their stored entries,
+                    with the dense operation's bits.
+                    """
+                    block = rows.start // PROJECTION_BLOCK
+                    z_old, s_old = zt[block], st[block]
+                    v, spare = scratch[:, : rows.stop - rows.start]
+                    np.matmul(f[:, rows].T, vt, out=v)
+                    flat = v.reshape(-1)
+                    _apply(np.add, flat, old := _entries(z_old))  # + h
+                    v *= scale
+                    # Warm start: the shift search's first pass takes one
+                    # candidate more than the block's largest previous support.
+                    support = _largest_row_support(z_old)
+                    try:
+                        project(v.T, cfg, rows.start, spare, support + 1 if support else TOP_M)
+                    except NumericError as exc:
+                        raise DivergenceError("ADMM iterates became non-finite") from exc
+                    z_new = _row_block(v)
+                    if z_new is v:  # the scratch
+                        z_new = v.copy()
+                    s_entries = _entries(s_old)
+                    union = _union(flat.size, _entries(z_new)[0], old[0], s_entries[0])
+                    _apply(np.subtract, flat, old)  # v = S_new = Z_new - Z_old, also the change in Z
+                    s_next = flat.copy() if union is None else flat[union]
+                    _apply(np.subtract, flat, s_entries)  # v = S_new - S_old
+                    ds = flat if union is None else flat[union]
+                    squares = [np.vdot(s_next, s_next), np.vdot(ds, ds)]
+                    ds += s_next
+                    squares.append(np.vdot(ds, ds))
+                    if union is None:
+                        s_new = _row_block(s_next.reshape(v.shape))
+                    else:
+                        stored = s_next != 0
+                        s_new = _csr_block(union[stored], s_next[stored], v.shape)
+                    zt[block], st[block] = z_new, s_new
+                    p_next[:, rows] = (z_new @ v_rows).T
+                    return squares
+
                 dense_sq = np.zeros(3)
-                for squares in run(update, blocks):  # summed in block order, whatever ran them
+                # Summed in block order, whatever ran them.
+                for squares in run(update_sparse if sparse else update, blocks):
                     dense_sq += squares
                 dp, dm = p_next - p, -(a * m + w)
                 dr = dp - r if a == 1.0 else p_next - a * (p + r)
@@ -333,6 +472,9 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 converged = max(row) <= cfg.tol
                 if converged:
                     break
+        if sparse:
+            st.clear()  # room for stacking Z^T's blocks
+            zt = _stacked(zt)
     return SolveResult(coefficients=zt.T, residual_history=history, converged=converged)
 
 

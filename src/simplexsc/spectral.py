@@ -13,16 +13,23 @@ Spectral clustering runs on one BLAS thread (see ``blas``), so its result
 does not depend on the BLAS thread count, and it computes only the
 n_clusters eigenvectors it embeds with.
 
-Below ``SPARSE_EIGEN_MIN_N`` points the Laplacian is a dense array solved by
-``scipy.linalg.eigh``. From there on it is built in CSR (the simplex
+Both stages take dense arrays or scipy.sparse matrices. From
+``SPARSE_EIGEN_MIN_N`` points on, the ssrsc solve returns its Z as a CSC
+array, which ``build_affinity`` turns into a CSR affinity in O(nnz), so that
+pipeline never forms an N x N array.
+
+Below ``SPARSE_EIGEN_MIN_N`` points, or from ``SPARSE_EIGEN_MAX_DENSITY``
+nonzero on (lsr's affinity is 100% nonzero), the Laplacian is a dense array
+solved by ``scipy.linalg.eigh``. Otherwise it is built in CSR (the simplex
 coefficients make the affinity about 1-3% nonzero) and solved by Lanczos
 (``scipy.sparse.linalg.eigsh``, ARPACK) from a fixed seeded normal start
 vector. The dense eigensolve still takes three cases: more connected
 components than n_clusters, n_clusters >= N - 1, and a Lanczos run that does
-not converge. The CSR Laplacian has the same bits as the dense one, so these
-cases give the labels the dense path gives. With more components than
-n_clusters the bottom eigenspace is degenerate, and the labels are fixed by
-the eigensolver's choice of basis rather than by the data.
+not converge. For a dense affinity the CSR Laplacian has the same bits as
+the dense one, so these cases give the labels the dense path gives. With
+more components than n_clusters the bottom eigenspace is degenerate, and the
+labels are fixed by the eigensolver's choice of basis rather than by the
+data.
 """
 
 from __future__ import annotations
@@ -53,6 +60,13 @@ SYMMETRY_TOL = 1e-10
 # N=400, 28 against 31 ms at N=600, 127 against 30 ms at N=1000 and 365
 # against 45 ms at N=1500.
 SPARSE_EIGEN_MIN_N = 1000
+# From this share of nonzero entries on, the affinity takes the dense route at
+# every N, as its CSR form then takes more memory. Tracemalloc peaks of
+# spectral_cluster, dense against CSR, on random graphs of 5 planted blocks
+# (one BLAS thread): 54 against 29, 55 and 78 MB at 19%, 36% and 51% nonzero
+# for N=1500, and 216 against 116, 221 and 312 MB for N=3000. CSR stayed the
+# faster route at every density (N=3000, 100%: 1.9 against 3.2 s).
+SPARSE_EIGEN_MAX_DENSITY = 0.35
 # Seed of the Lanczos start vector. A start vector of ones or of sqrt(degree)
 # missed copies of the zero eigenvalue on 8 identical components (k=5); a
 # normal one did not.
@@ -81,19 +95,27 @@ class SpectralConfig:
         as_count(self.seed, "seed", 0)
 
 
-def build_affinity(c, mode: str = "sym") -> np.ndarray:
+def build_affinity(c, mode: str = "sym") -> np.ndarray | scipy.sparse.csr_array:
     """Symmetrize a coefficient matrix into an affinity graph.
 
     "sym" returns (C + C^T)/2 and preserves sign; "abs" returns
-    (|C| + |C^T|)/2. Either output is exactly symmetric by construction and
-    C-ordered, whatever C's layout; it is built in place, so besides C it
-    takes one N x N array ("sym") or two ("abs").
+    (|C| + |C^T|)/2. Either output is exactly symmetric by construction.
+    A dense C gives a C-ordered array, whatever C's layout; it is built in
+    place, so besides C it takes one N x N array ("sym") or two ("abs"). A
+    scipy.sparse C (such as the ssrsc solve's Z from SPARSE_EIGEN_MIN_N
+    points on) gives a CSR array with the dense result's bits at its stored
+    entries, in O(nnz) memory.
     """
-    c = as_square_matrix(c, name="coefficient matrix")
+    sparse = scipy.sparse.issparse(c)
+    c = _as_square_csr(c, "coefficient matrix") if sparse else as_square_matrix(c, name="coefficient matrix")
     if mode not in AFFINITY_MODES:
         raise ConfigError(f"mode must be one of {AFFINITY_MODES}, got {mode!r}")
     if mode == "abs":
-        c = np.abs(c)
+        c = abs(c)
+    if sparse:
+        out = c + c.T
+        out.data /= 2.0
+        return out
     out = np.add(c, c.T, order="C")
     out /= 2.0
     return out
@@ -163,14 +185,21 @@ def spectral_cluster(a, cfg: SpectralConfig) -> np.ndarray:
     Forms the symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2} (rows
     with zero degree get a zero scaling factor, leaving their embedding row
     zero), embeds points in the n_clusters bottom eigenvectors, row-normalizes
-    to unit length, and labels rows by seeded k-means. From
-    ``SPARSE_EIGEN_MIN_N`` points on, the Laplacian is built in CSR and
-    solved by Lanczos unless the graph has more connected components than
-    n_clusters or Lanczos does not converge. Deterministic for a fixed config.
+    to unit length, and labels rows by seeded k-means. ``a`` is a dense
+    array or a scipy.sparse matrix, which is not changed. From
+    ``SPARSE_EIGEN_MIN_N`` points on, an affinity with less than
+    ``SPARSE_EIGEN_MAX_DENSITY`` of its entries nonzero has its Laplacian
+    built in CSR and solved by Lanczos, unless the graph has more connected
+    components than n_clusters or Lanczos does not converge; every other
+    affinity takes the dense route. Deterministic for a fixed config.
     """
-    a = as_square_matrix(a, name="affinity matrix")
+    sparse = scipy.sparse.issparse(a)
+    a = _as_square_csr(a, "affinity matrix") if sparse else as_square_matrix(a, name="affinity matrix")
     n = a.shape[0]
-    graph = scipy.sparse.csr_array(a) if n >= SPARSE_EIGEN_MIN_N else a
+    if n < SPARSE_EIGEN_MIN_N or (a.nnz if sparse else np.count_nonzero(a)) >= SPARSE_EIGEN_MAX_DENSITY * n * n:
+        a = graph = a.toarray() if sparse else a
+    else:
+        graph = a.copy() if sparse else scipy.sparse.csr_array(a)  # _sparse_embedding scales it
     if abs(graph - graph.T).max() > SYMMETRY_TOL:
         raise ShapeError("affinity matrix is not symmetric")
     if cfg.n_clusters > n:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,6 +103,8 @@ class TestAffinityDiagnostics:
         assert within >= 0.55
         assert between <= 1e-6
         assert diag == pytest.approx(1.0 - within - between, abs=1e-10)
+        # From SPARSE_EIGEN_MIN_N points on, the ssrsc pipeline's affinity is CSR.
+        assert affinity_diagnostics(scipy.sparse.csr_array(affinity), dataset.labels) == (within, between, diag)
 
     def test_rejects_negative_entries(self):
         a = np.array([[0.0, -1.0], [-1.0, 0.0]])

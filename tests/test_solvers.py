@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from simplexsc import (
     ConfigError,
@@ -23,7 +24,7 @@ from simplexsc import (
     solve_slsr,
     solve_ssrsc,
 )
-from simplexsc import solvers
+from simplexsc import solvers, spectral
 from simplexsc.core import MODELS
 from simplexsc.solvers import _c_step_factor, _project_off_diagonal
 
@@ -461,11 +462,16 @@ class TestLowRankKernel:
         solve(x[:, : 3 * solvers.PROJECTION_BLOCK], SolverConfig())
         assert started_threads == []
         peaks = {}
-        for cfg in (SolverConfig(), SolverConfig(zero_diagonal=True), SolverConfig(model="nlsr")):
+        configs = [("csr", SolverConfig()), ("csr", SolverConfig(zero_diagonal=True))]
+        configs += [("dense", SolverConfig()), ("dense", SolverConfig(model="nlsr"))]
+        for route, cfg in configs:
             started_threads.clear()
             tracemalloc.start()
             try:
-                solve(x, cfg)
+                with monkeypatch.context() as patch:
+                    if route == "dense":  # nlsr's route whatever the threshold
+                        patch.setattr(spectral, "SPARSE_EIGEN_MIN_N", n + 1)
+                    solve(x, cfg)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -475,10 +481,15 @@ class TestLowRankKernel:
             # Z^T, S^T and a few 256-row blocks; the dense loop held C, Z, U
             # and two more N x N arrays, and half of one more adds 5.8 MB.
             assert peak <= (3.5 * n * n + 8 * r * n) * 8, cfg
-            peaks[cfg.model, cfg.zero_diagonal] = peak
+            peaks[route, cfg.model, cfg.zero_diagonal] = peak
         # nlsr's a*Z^T + (a-1)*S^T and Z_new - Z^T live in the block scratch;
         # as fresh blocks they took nlsr 0.08 N^2 doubles above ssrsc.
-        assert peaks["nlsr", False] <= peaks["ssrsc", False]
+        assert peaks["dense", "nlsr", False] <= peaks["dense", "ssrsc", False]
+        # The CSR loop's Z^T and S^T hold the iterates' nonzeros (11% of the
+        # entries after one iteration, 2.5% after five); it peaked at
+        # 1.85-1.93 N^2 doubles, most of them the two threads' scratch.
+        for zero_diagonal in (False, True):
+            assert peaks["csr", "ssrsc", zero_diagonal] <= (2.0 * n * n + 8 * r * n) * 8
 
     @pytest.mark.parametrize(
         "model, zero_diagonal", [("ssrsc", False), ("nlsr", False), ("slsr", False), ("ssrsc", True)]
@@ -506,6 +517,16 @@ class TestLowRankKernel:
         data = generate_synthetic(SyntheticSpec(30, 4, 3, 50, 0.05, seed=1)).data * 1e200
         with pytest.raises(NumericError):
             solve(data, SolverConfig(model=model))
+
+
+def assert_same_coefficients(a, b):
+    """Equal bits: the same CSR structure and values for the CSR loop's Z, else equal arrays."""
+    assert scipy.sparse.issparse(a) == scipy.sparse.issparse(b)
+    if scipy.sparse.issparse(a):
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(b, part))
+    else:
+        np.testing.assert_array_equal(a, b)
 
 
 class TestBlockThreads:
@@ -536,7 +557,7 @@ class TestBlockThreads:
         monkeypatch.setattr(solvers, "_block_threads", lambda n: 1)
         serial = solve(points, cfg)
         assert len(started_threads) == helpers
-        assert np.array_equal(threaded.coefficients, serial.coefficients)
+        assert_same_coefficients(threaded.coefficients, serial.coefficients)
         assert np.array_equal(threaded.residual_history, serial.residual_history)
 
     def test_more_threads_than_cores_with_short_switches_keep_the_bits(self, points, monkeypatch):
@@ -550,7 +571,7 @@ class TestBlockThreads:
             stressed = solve(points, cfg)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(stressed.coefficients, serial.coefficients)
+        assert_same_coefficients(stressed.coefficients, serial.coefficients)
         assert np.array_equal(stressed.residual_history, serial.residual_history)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -558,11 +579,11 @@ class TestBlockThreads:
         lam_on_c_step, project = solvers._ADMM_MODELS["ssrsc"]
         helpers = []
 
-        def overflowing(v, cfg, start, scratch):
+        def overflowing(v, cfg, start, scratch, *top_m):
             if start == 2 * solvers.PROJECTION_BLOCK:
                 helpers.append(threading.current_thread() is not threading.main_thread())
                 v[5, 7] = bad
-            return project(v, cfg, start, scratch)
+            return project(v, cfg, start, scratch, *top_m)
 
         monkeypatch.setitem(solvers._ADMM_MODELS, "ssrsc", (lam_on_c_step, overflowing))
         before = threading.active_count()
@@ -570,6 +591,58 @@ class TestBlockThreads:
             solve(points, SolverConfig(max_iters=3))
         assert helpers == [True]
         assert threading.active_count() == before
+
+
+class TestCsrRoute:
+    """From SPARSE_EIGEN_MIN_N points on, ssrsc keeps Z^T and S^T as CSR row blocks."""
+
+    @staticmethod
+    def dense_route(monkeypatch, x, cfg):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "SPARSE_EIGEN_MIN_N", x.shape[1] + 1)
+            return solve(x, cfg)
+
+    def test_the_threshold_selects_the_route(self):
+        x = np.random.default_rng(62).standard_normal((6, spectral.SPARSE_EIGEN_MIN_N))
+        assert isinstance(solve(x[:, :-1], SolverConfig(max_iters=1)).coefficients, np.ndarray)
+        z = solve(x, SolverConfig(max_iters=1)).coefficients
+        assert isinstance(z, scipy.sparse.csc_array)
+        assert z.has_canonical_format
+        for model in ("nlsr", "slsr"):
+            assert isinstance(solve(x, SolverConfig(model=model, max_iters=1)).coefficients, np.ndarray)
+
+    @pytest.mark.parametrize("zero_diagonal", [False, True], ids=["ssrsc", "zero-diagonal"])
+    @pytest.mark.parametrize("per_subspace", [256, 300], ids=["N=1024", "N=1200"])
+    def test_matches_the_dense_route_to_tolerance(self, per_subspace, zero_diagonal, monkeypatch):
+        # lam 1 and rho 10 reach tol 1e-2 in 70-82 iterations here.
+        x = generate_synthetic(SyntheticSpec(40, 4, 4, per_subspace, 0.01, seed=2)).data
+        cfg = SolverConfig(zero_diagonal=zero_diagonal, lam=1.0, rho=10.0, max_iters=400, tol=1e-2)
+        sparse = solve(x, cfg)
+        dense = self.dense_route(monkeypatch, x, cfg)
+        assert scipy.sparse.issparse(sparse.coefficients) and isinstance(dense.coefficients, np.ndarray)
+        assert sparse.converged and dense.converged
+        assert sparse.iterations_used == dense.iterations_used
+        assert np.abs(sparse.coefficients.toarray() - dense.coefficients).max() <= 1e-12
+        np.testing.assert_allclose(sparse.residual_history, dense.residual_history, rtol=1e-9, atol=0)
+
+    def test_full_support_stays_within_the_memory_bound(self, monkeypatch):
+        # Every point the same: every entry of Z is nonzero, so the CSR loop
+        # keeps its row blocks dense, at 8 bytes an entry against CSR's 12.
+        n = 4 * solvers.PROJECTION_BLOCK
+        x = np.tile(np.random.default_rng(63).standard_normal((5, 1)), (1, n))
+        r = min(x.shape)
+        monkeypatch.setattr(solvers, "_block_threads", lambda n: 1)
+        tracemalloc.start()
+        try:
+            sparse = solve(x, SolverConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sparse.coefficients.nnz == n * n
+        assert peak <= (3.5 * n * n + 8 * r * n) * 8
+        dense = self.dense_route(monkeypatch, x, SolverConfig())
+        assert np.abs(sparse.coefficients.toarray() - dense.coefficients).max() <= 1e-12
+        np.testing.assert_allclose(sparse.residual_history, dense.residual_history, rtol=1e-9, atol=1e-12)
 
 
 class TestZeroDiagonalStep:

@@ -546,7 +546,7 @@ class TestSparseSpectralCluster:
             spectral_cluster(a, SpectralConfig(n_clusters=4, seed=0))
 
     def test_large_asymmetric_graph_is_rejected(self, fixture_1200):
-        a = fixture_1200[0].copy()
+        a = fixture_1200[0].toarray()
         a[0, 1] += 1e-6
         with pytest.raises(ShapeError):
             spectral_cluster(a, SpectralConfig(n_clusters=4))
@@ -572,6 +572,57 @@ class TestSparseSpectralCluster:
         np.testing.assert_array_equal(spectral_cluster(a, cfg), labels)
         if extra_blocks == 0 and isolated == 0:
             assert clustering_error(labels, block_truth(sizes)) == 0.0
+
+
+class TestSparseInputs:
+    """Affinities and coefficient matrices given as scipy.sparse matrices."""
+
+    @pytest.mark.parametrize("mode", ["sym", "abs"])
+    @pytest.mark.parametrize("fmt", ["csr", "csc"])
+    def test_build_affinity_has_the_dense_bits(self, fmt, mode):
+        rng = np.random.default_rng(22)
+        c = scipy.sparse.random_array((300, 300), density=0.05, format=fmt, rng=rng, data_sampler=rng.standard_normal)
+        before = c.toarray()
+        a = build_affinity(c, mode)
+        assert a.format == "csr"
+        np.testing.assert_array_equal(a.toarray(), build_affinity(before, mode))
+        np.testing.assert_array_equal(c.toarray(), before)
+
+    def test_spectral_cluster_gives_the_dense_labels_at_n150(self):
+        for seed in range(5):
+            dataset = generate_synthetic(SyntheticSpec(30, 4, 3, 50, 0.01, seed=seed))
+            a = build_affinity(solve(dataset.data, SolverConfig()).coefficients, "sym")
+            cfg = SpectralConfig(n_clusters=3, seed=seed)
+            np.testing.assert_array_equal(spectral_cluster(scipy.sparse.csr_array(a), cfg), spectral_cluster(a, cfg))
+
+    def test_spectral_cluster_gives_the_dense_labels_at_n1200(self, fixture_1200):
+        a, truth = fixture_1200
+        assert isinstance(a, scipy.sparse.csr_array)  # from the CSR solve's Z
+        before = a.copy()
+        for seed in (0, 7):
+            cfg = SpectralConfig(n_clusters=4, seed=seed)
+            labels = spectral_cluster(a, cfg)
+            np.testing.assert_array_equal(labels, spectral_cluster(a.toarray(), cfg))
+            assert clustering_error(labels, truth) == 0.0
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(a, part), getattr(before, part))
+
+    def test_dense_graph_takes_the_dense_eigensolve(self, monkeypatch):
+        # Every entry nonzero: above SPARSE_EIGEN_MAX_DENSITY at any N.
+        sizes = [250] * 4
+        a = np.kron(np.eye(4), np.ones((250, 250))) + 0.01 * np.random.default_rng(23).random((1000, 1000))
+        a = (a + a.T) / 2.0
+        cfg = SpectralConfig(n_clusters=4, seed=2)
+        calls = record_eigensolves(monkeypatch)
+        labels = spectral_cluster(a, cfg)
+        assert [scipy.sparse.issparse(m) for m in calls] == [False]
+        assert clustering_error(labels, block_truth(sizes)) == 0.0
+        np.testing.assert_array_equal(spectral_cluster(scipy.sparse.csr_array(a), cfg), labels)
+        assert [scipy.sparse.issparse(m) for m in calls] == [False, False]
+        # The CSR route, which such a graph took before, gives the same labels.
+        monkeypatch.setattr(spectral, "SPARSE_EIGEN_MAX_DENSITY", 1.5)
+        np.testing.assert_array_equal(spectral_cluster(a, cfg), labels)
+        assert scipy.sparse.issparse(calls[-1])
 
 
 class TestSparseDeterminism:

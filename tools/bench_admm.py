@@ -18,7 +18,8 @@ Each size is timed best of 5 on one BLAS thread (``OPENBLAS_NUM_THREADS=1``
 unless set; the solver pins the BLAS to one thread itself). The results go
 under ``runs[NAME]`` of ``BENCH_admm.json`` at the root of this checkout,
 next to the runs of other labels, with the core count, the number of helper
-threads a solve started and a SHA-256 digest of Z and of the residual
+threads a solve started and a SHA-256 digest of Z (its dense C-ordered
+form, also for the sparse Z of the larger ssrsc solves) and of the residual
 history, so two labels can be checked for the same output. ``--src``
 imports simplexsc from another checkout's ``src`` directory, for example a
 copy of the parent commit.
@@ -87,7 +88,9 @@ def main() -> None:
             x = pca_project(x, pca_dim)
         assert x.shape[1] == n
         result = solve(x, cfg)
-        digest = hashlib.sha256(np.ascontiguousarray(result.coefficients).tobytes())
+        z = result.coefficients
+        z = z.toarray() if hasattr(z, "toarray") else z  # scipy.sparse from SPARSE_EIGEN_MIN_N points on
+        digest = hashlib.sha256(np.ascontiguousarray(z).tobytes())
         digest.update(np.asarray(result.residual_history, dtype=np.float64).tobytes())
         threads = helper_threads(lambda: solve(x, cfg))
         times = []
