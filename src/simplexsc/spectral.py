@@ -5,10 +5,12 @@ non-negative coefficient matrices, or the absolute symmetrization
 (|C| + |C^T|)/2 used when coefficients may be signed. Segmentation embeds
 points via the bottom eigenvectors of the symmetric normalized Laplacian,
 row-normalizes the embedding, and runs k-means with a fixed number of seeded
-restarts. The restarts draw their seeds in turn from one generator and then
-iterate as one batch: each Lloyd step assigns every restart still moving from
-one (restarts, N, k) distance array and sums the new centers by ``bincount``,
-with the bits of one restart run alone.
+restarts. The restarts take their random draws in turn from one generator,
+pick each next seed center for all restarts at once, and then iterate as one
+batch: each Lloyd step assigns every restart still moving from one
+(restarts, k, N) distance array, summed one coordinate at a time over rows of
+N points, and sums the new centers by ``bincount``. Every restart keeps the
+bits it would get when seeded and run alone.
 Spectral clustering runs on one BLAS thread (see ``blas``), so its result
 does not depend on the BLAS thread count, and it computes only the
 n_clusters eigenvectors it embeds with.
@@ -78,6 +80,9 @@ LANCZOS_MAX_RESTARTS = 300
 # Seeded k-means restarts per kmeans call, and Lloyd assignments per restart.
 KMEANS_RESTARTS = 20
 KMEANS_MAX_ITERS = 300
+# numpy sums a contiguous last axis shorter than this in column order, and a
+# longer one with eight running partial sums (pairwise summation).
+PAIRWISE_MIN_COLUMNS = 8
 
 
 @dataclass(frozen=True)
@@ -274,15 +279,50 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> tuple[np.ndarray, float
         raise NumericError("points contain non-finite values")
     if as_count(k, "k") > points.shape[0]:
         raise ConfigError(f"k must be in [1, {points.shape[0]}], got {k}")
-    rng = np.random.default_rng(as_count(seed, "seed", 0))
-    centers = np.stack([_seed_centers(points, k, rng) for _ in range(KMEANS_RESTARTS)])
-    labels, objectives = _lloyd_restarts(points, centers, KMEANS_MAX_ITERS)
+    seed = as_count(seed, "seed", 0)
+    coordinates = np.ascontiguousarray(points.T)
+    centers = _seed_restarts(points, coordinates, k, seed)
+    labels, objectives = _lloyd_restarts(points, coordinates, centers, KMEANS_MAX_ITERS)
     # An overflowed (inf or NaN) objective never wins.
     finite = np.flatnonzero(objectives < np.inf)
     if finite.size == 0:
         raise NumericError("k-means objective overflowed; rescale the points")
     best = finite[np.argmin(objectives[finite])]  # the first of equal minima
     return labels[best].copy(), float(objectives[best])
+
+
+def _seed_restarts(points: np.ndarray, coordinates: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """KMEANS_RESTARTS x k x d initial centers: ``_seed_centers`` in turn on ``default_rng(seed)``.
+
+    Each restart takes its first center's index and then k - 1 uniforms from
+    the generator, one restart after another: ``Generator.choice(n, p=...)``
+    draws one uniform and takes the first index whose cumulative probability
+    exceeds it, which is what all restarts then do at once. Where
+    ``_seed_centers`` would draw an integer (every point is already a center)
+    or raise (the squared distances overflow), all restarts are drawn by
+    ``_seed_centers`` on a fresh generator.
+    """
+    n, d = points.shape
+    rng = np.random.default_rng(seed)
+    first = np.empty(KMEANS_RESTARTS, dtype=np.intp)
+    uniforms = np.empty((KMEANS_RESTARTS, k - 1))
+    for r in range(KMEANS_RESTARTS):
+        first[r] = rng.integers(n)
+        uniforms[r] = rng.random(k - 1)
+    centers = np.empty((KMEANS_RESTARTS, k, d))
+    centers[:, 0] = points[first]
+    closest = _squared_distances(points, coordinates, centers[:, :1])[:, 0]
+    for i in range(1, k):
+        total = closest.sum(axis=1)
+        if not np.all((total > 0) & (total < np.inf)):
+            rng = np.random.default_rng(seed)
+            return np.stack([_seed_centers(points, k, rng) for _ in range(KMEANS_RESTARTS)])
+        cdf = np.cumsum(closest / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        # The cdf never decreases, so this count is searchsorted(side="right").
+        centers[:, i] = points[np.count_nonzero(cdf <= uniforms[:, i - 1, None], axis=1)]
+        np.minimum(closest, _squared_distances(points, coordinates, centers[:, i : i + 1])[:, 0], out=closest)
+    return centers
 
 
 def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -307,36 +347,34 @@ def _lloyd(
     points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int
 ) -> tuple[np.ndarray, float]:
     """One Lloyd run from centers seeded by ``rng``: kmeans's first run on a fresh generator."""
-    labels, objectives = _lloyd_restarts(points, _seed_centers(points, k, rng)[None], max_iters)
+    centers = _seed_centers(points, k, rng)[None]
+    labels, objectives = _lloyd_restarts(points, np.ascontiguousarray(points.T), centers, max_iters)
     return labels[0], float(objectives[0])
 
 
 def _lloyd_restarts(
-    points: np.ndarray, centers: np.ndarray, max_iters: int
+    points: np.ndarray, coordinates: np.ndarray, centers: np.ndarray, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iteration of R runs at once from their R x k x d initial centers (updated in place).
 
-    Each run stops when its labels repeat or after max_iters assignments, and
-    returns its last labels (R x N) and objective (R). Every step gives each
-    run the bits a run of its own would get: a squared distance is
-    ``((p - c) ** 2).sum()`` over a contiguous last axis, and the centers are
-    member sums in point order (as ``mean(axis=0)`` adds them, from two
-    columns on) divided by the member counts; empty clusters keep their center.
+    ``coordinates`` is ``points.T`` in C order. Each run stops when its labels
+    repeat or after max_iters assignments, and returns its last labels (R x N)
+    and objective (R). Every step gives each run the bits a run of its own
+    would get: the squared distances are those of ``_squared_distances``, and
+    the centers are member sums in point order (as ``mean(axis=0)`` adds them,
+    from two columns on) divided by the member counts; empty clusters keep
+    their center.
     """
     n_runs, k, d = centers.shape
     n = points.shape[0]
-    coordinates = np.ascontiguousarray(points.T)
     labels = np.full((n_runs, n), -1, dtype=np.intp)  # no run repeats at the first step
     objectives = np.full(n_runs, np.inf)
     active = np.arange(n_runs)
     for _ in range(max_iters):
-        # One center at a time: the (active, N, k, d) broadcast would hold k
-        # times the memory for the same bits.
-        distances = np.empty((active.size, n, k))
-        for j in range(k):
-            distances[:, :, j] = ((points - centers[active, j, None, :]) ** 2).sum(axis=-1)
-        assigned = distances.argmin(axis=2)  # ties go to the lowest center index
-        objective = np.take_along_axis(distances, assigned[:, :, None], axis=2)[:, :, 0].sum(axis=1)
+        # (active, k, N): one row of N distances per center.
+        distances = _squared_distances(points, coordinates, centers[active])
+        assigned = distances.argmin(axis=1)  # ties go to the lowest center index
+        objective = distances.min(axis=1).sum(axis=1)
         del distances  # room for the center sums
         previous = objectives[active]
         finite = np.isfinite(previous)
@@ -360,3 +398,30 @@ def _lloyd_restarts(
         np.divide(sums.reshape(d, n_bins).T, counts[:, None], out=moved, where=counts[:, None] > 0)
         centers[active] = moved.reshape(active.size, k, d)
     return labels, objectives
+
+
+def _squared_distances(points: np.ndarray, coordinates: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (R x k x N) from every point to the R x k x d ``centers``.
+
+    Each distance has the bits of ``((p - c) ** 2).sum()`` over a contiguous
+    last axis. numpy adds fewer than PAIRWISE_MIN_COLUMNS squares in column
+    order, so there the squares are added one coordinate at a time over whole
+    rows of N points (``coordinates`` is ``points.T`` in C order), in place
+    through one scratch array. From PAIRWISE_MIN_COLUMNS columns on
+    numpy adds pairwise, and each center takes that sum over its R x N x d
+    differences.
+    """
+    d = points.shape[1]
+    out = np.empty((centers.shape[0], centers.shape[1], points.shape[0]))
+    if d >= PAIRWISE_MIN_COLUMNS:
+        for j in range(centers.shape[1]):
+            out[:, j] = ((points - centers[:, j, None, :]) ** 2).sum(axis=-1)
+        return out
+    np.subtract(coordinates[0], centers[:, :, 0, None], out=out)
+    np.square(out, out=out)
+    scratch = np.empty_like(out)
+    for j in range(1, d):
+        np.subtract(coordinates[j], centers[:, :, j, None], out=scratch)
+        np.square(scratch, out=scratch)
+        out += scratch
+    return out

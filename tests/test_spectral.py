@@ -289,6 +289,52 @@ class TestKmeans:
             np.testing.assert_array_equal(labels, expected_labels)
             assert objective == pytest.approx(expected_objective, rel=1e-12)
 
+    @pytest.mark.parametrize("d", [8, 9, 12, 16])
+    def test_equals_the_reference_from_eight_columns_on(self, d):
+        # From eight columns on numpy adds a row's squares pairwise, not in
+        # column order, and kmeans must add them as numpy does.
+        rng = np.random.default_rng(19 + d)
+        for trial in range(9):
+            n, k = int(rng.integers(20, 120)), int(rng.integers(1, 11))
+            if trial % 3 == 0:
+                points = rng.standard_normal((n, d))
+            elif trial % 3 == 1:
+                points = rng.integers(-2, 3, (n, d)).astype(float)
+            else:
+                points = rng.standard_normal((max(1, k - 1), d))[rng.integers(0, max(1, k - 1), n)]
+            labels, objective = kmeans(points, k, seed=trial)
+            expected_labels, expected_objective = kmeans_reference(points, k, trial, KMEANS_RESTARTS, KMEANS_MAX_ITERS)
+            np.testing.assert_array_equal(labels, expected_labels)
+            assert objective == expected_objective
+
+    @pytest.mark.parametrize("kind", ["normal", "integer grid", "few distinct points"])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_batched_seeding_draws_what_seed_centers_draws(self, k, kind, monkeypatch):
+        # All restarts take their next center at once, from the uniforms that
+        # Generator.choice would draw one at a time. Fewer distinct points
+        # than k make _seed_centers draw an integer, so every restart is then
+        # drawn by _seed_centers itself.
+        rng = np.random.default_rng(20 + k)
+        if kind == "normal":
+            points = rng.standard_normal((60, 3))
+        elif kind == "integer grid":
+            points = rng.integers(-2, 3, (60, 3)).astype(float)
+        else:
+            points = rng.standard_normal((max(1, k - 1), 3))[rng.integers(0, max(1, k - 1), 60)]
+        seed_centers = spectral._seed_centers
+        generator = np.random.default_rng(k)
+        expected = np.stack([seed_centers(points, k, generator) for _ in range(KMEANS_RESTARTS)])
+        calls = []
+        monkeypatch.setattr(spectral, "_seed_centers", lambda *args: calls.append(1) or seed_centers(*args))
+        centers = spectral._seed_restarts(points, np.ascontiguousarray(points.T), k, k)
+        np.testing.assert_array_equal(centers, expected)
+        assert len(calls) == (KMEANS_RESTARTS if kind == "few distinct points" and k > 1 else 0)
+
+    def test_batched_seeding_raises_when_the_distances_overflow(self):
+        points = np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            spectral._seed_restarts(points, np.ascontiguousarray(points.T), 2, 0)
+
     @pytest.mark.parametrize("seed", [0, 3])
     def test_lloyd_on_a_fresh_generator_is_the_first_restart(self, seed, monkeypatch):
         points = np.random.default_rng(15).standard_normal((60, 3))

@@ -4,12 +4,14 @@ Run from the root of a checkout:
 
     python tools/bench_kmeans.py [--src DIR] [--label NAME]
 
-Two shapes, each on k unit-normalised Gaussian blobs in k dimensions (the
+Three shapes, each on k unit-normalised Gaussian blobs in k dimensions (the
 shape of the row-normalised spectral embedding that kmeans receives) with
 fixed seeds:
 
 - N=150, k=3: one cell of the 20-fixture ablation grid, timed over 12 inputs;
-- N=3000, k=5: one large-N embedding.
+- N=3000, k=5: one large-N embedding;
+- N=600, k=10, timed over 3 inputs: from 8 columns on numpy sums a row
+  pairwise, and kmeans takes another route to keep its bits.
 
 Each shape is timed best of 5 on one BLAS thread (``OPENBLAS_NUM_THREADS=1``
 unless set, and inside ``simplexsc.blas.single_blas_thread``). The results go
@@ -37,7 +39,7 @@ import numpy as np  # noqa: E402  after the BLAS thread default
 ROOT = Path(__file__).resolve().parents[1]
 OUTPUT = ROOT / "BENCH_kmeans.json"
 # (name, N, k, inputs per timing, seed of the first input)
-SHAPES = (("grid-cell", 150, 3, 12, 0), ("large", 3000, 5, 1, 100))
+SHAPES = (("grid-cell", 150, 3, 12, 0), ("large", 3000, 5, 1, 100), ("ten-clusters", 600, 10, 3, 200))
 REPEATS = 5
 NOISE = 0.35
 
