@@ -205,22 +205,24 @@ def _load_csv_cells(path: Path, has_header: bool) -> LabeledDataset:
 
 
 def save_csv(path, dataset: LabeledDataset, include_header: bool = True) -> None:
-    """Write a dataset as row-per-sample CSV with 17 significant digits."""
+    """Write a dataset as row-per-sample CSV with 17 significant digits.
+
+    The header comes from the csv module and the rows from one np.savetxt,
+    with the csv module's CRLF line ends. Labels pass as Python ints in
+    an object array, so they are written exactly, also past 2**53.
+    """
     if dataset.labels is not None and not include_header:
         raise ConfigError("labels require a header row for round-tripping")
-    d, n = dataset.data.shape
+    d = dataset.data.shape[0]
+    columns, rows, formats = [f"f{i}" for i in range(d)], dataset.data.T, ["%.17g"] * d
+    if dataset.labels is not None:
+        columns.append("label")
+        rows = np.column_stack([rows.astype(object), dataset.labels.astype(object)])
+        formats.append("%d")
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
         if include_header:
-            columns = [f"f{i}" for i in range(d)]
-            if dataset.labels is not None:
-                columns.append("label")
-            writer.writerow(columns)
-        for j in range(n):
-            row = [format(v, ".17g") for v in dataset.data[:, j]]
-            if dataset.labels is not None:
-                row.append(str(int(dataset.labels[j])))
-            writer.writerow(row)
+            csv.writer(handle).writerow(columns)
+        np.savetxt(handle, rows, fmt=formats, delimiter=",", newline="\r\n")
 
 
 def pca_project(data, target_dim: int) -> np.ndarray:

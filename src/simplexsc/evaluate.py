@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
     ConfigError,
@@ -32,6 +30,8 @@ def clustering_error(pred, truth) -> float:
     maximizes the matched count by optimal assignment, so the metric is
     invariant to how either side names its clusters.
     """
+    from scipy.optimize import linear_sum_assignment  # here, not at load: scipy.optimize is slow and large
+
     pred = np.asarray(pred).ravel()
     truth = np.asarray(truth).ravel()
     if pred.shape != truth.shape:
@@ -170,6 +170,8 @@ def run_ablation(
     if workers == 1:
         rows = [run_cell(cfg) for cfg in grid]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_cell, grid))
     return AblationReport(rows)

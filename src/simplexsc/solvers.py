@@ -42,13 +42,13 @@ support (see ``projections``) and returns the positive entries, with no
 partition and no scan of the block. S^T and the squared norms come from
 the entries at the union of the three blocks' positions, and P's columns
 from scipy's CSR product on the entries. A block denser than its entries
-(a degenerate input, such as every point the same) is kept as a dense
-array and takes the dense loop's step in place. Z comes back as a
-``scipy.sparse`` CSC array, the transpose of the stacked Z^T, from
-``SPARSE_EIGEN_MIN_N`` points on (the spectral stage's threshold), and as a
-dense array below; such a solve needs O(nnz + threads * 256 * N) memory
-until then. Z and the residuals agree with the dense loop's to rounding,
-as only the order of the sums differs.
+(a degenerate input, such as every point the same, or an early iterate at
+lam >= 1) is kept as a dense array and takes the dense loop's step in
+place. Z comes back as a ``scipy.sparse`` CSC array, the transpose of the
+stacked Z^T, from ``SPARSE_EIGEN_MIN_N`` points on (the spectral stage's
+threshold), and as a dense array below; such a solve needs
+O(nnz + threads * 256 * N) memory until then. Z and the residuals agree
+with the dense loop's to rounding, as only the order of the sums differs.
 
 Solves run on one BLAS thread (see ``blas``), so their bits do not depend on
 the BLAS thread count. A solve of 4 blocks or more spreads its block tasks
@@ -260,7 +260,7 @@ def _block_runner(threads: int, scratch_shape: tuple[int, ...]):
         yield lambda task, blocks: [task(rows, scratch) for rows in blocks]
         del scratch  # the caller may hold run past the block
         return
-    from concurrent.futures import ThreadPoolExecutor  # serial solves skip the import
+    from concurrent.futures import ThreadPoolExecutor
 
     owned = threading.local()
 
@@ -354,18 +354,8 @@ def _assembled(blocks: list, n: int, sparse: bool):
     """Z from the sparse loop's row blocks of Z^T, which it drops as it goes.
 
     A ``scipy.sparse`` CSC array (the transpose of CSR Z^T) if ``sparse``,
-    else the transpose of a dense C-ordered Z^T.
+    else the transpose of CSR Z^T's dense C-ordered form.
     """
-    if not sparse:
-        zt = np.zeros((n, n))
-        for i, block in enumerate(blocks):
-            rows = zt[i * PROJECTION_BLOCK : (i + 1) * PROJECTION_BLOCK]
-            if isinstance(block, np.ndarray):
-                rows[...] = block
-            else:
-                rows.reshape(-1)[block[0]] = block[1]
-            blocks[i] = None
-        return zt.T
     nnz = sum(np.count_nonzero(b) if isinstance(b, np.ndarray) else b[0].size for b in blocks)
     index = np.int32 if nnz < 2**31 else np.int64
     data, indices, indptr = np.empty(nnz), np.empty(nnz, dtype=index), np.zeros(n + 1, dtype=index)
@@ -382,7 +372,8 @@ def _assembled(blocks: list, n: int, sparse: bool):
         np.remainder(positions, n, out=indices[at : at + positions.size], casting="unsafe")
         at += positions.size
         blocks[i] = block = None
-    return scipy.sparse.csr_array((data, indices, indptr), shape=(n, n)).T
+    zt = scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))
+    return zt.T if sparse else zt.toarray().T
 
 
 def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:

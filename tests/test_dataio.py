@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,28 @@ class TestCsvRoundTrip:
         ds = LabeledDataset(np.eye(2), np.array([0, 1]))
         with pytest.raises(ConfigError):
             save_csv(tmp_path / "x.csv", ds, include_header=False)
+
+    @pytest.mark.parametrize("with_labels, include_header", [(True, True), (False, True), (False, False)])
+    def test_save_bytes_match_the_csv_writer_loop(self, tmp_path, with_labels, include_header):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((3, 6)) * np.exp(rng.uniform(-300, 300, (3, 6)))
+        data[0, 0], data[1, 2], data[2, 5] = -0.0, 0.0, 1 / 3
+        labels = np.array([0, -1, 2**53 + 1, -(2**62) - 3, 2**63 - 1, 7]) if with_labels else None
+        dataset = LabeledDataset(data, labels)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            if include_header:
+                writer.writerow([f"f{i}" for i in range(3)] + (["label"] if with_labels else []))
+            for j in range(6):
+                row = [format(v, ".17g") for v in data[:, j]]
+                if with_labels:
+                    row.append(str(int(labels[j])))
+                writer.writerow(row)
+        path = tmp_path / "saved.csv"
+        save_csv(path, dataset, include_header=include_header)
+        assert path.read_bytes() == expected.read_bytes()
+        assert b"-0," in path.read_bytes() and b"\r\n" in path.read_bytes()
 
 
 NUMBERS = st.one_of(

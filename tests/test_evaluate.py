@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -23,6 +26,14 @@ from oracles import exhaustive_permutation_error
 
 
 class TestClusteringError:
+    def test_import_leaves_scipy_optimize_to_the_first_call(self):
+        code = (
+            "import sys, simplexsc; loaded = 'scipy.optimize' in sys.modules; "
+            "simplexsc.clustering_error([0, 1], [1, 0]); print(loaded, 'scipy.optimize' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["False", "True"]
+
     def test_identical_labels(self):
         labels = np.array([0, 1, 2, 1, 0])
         assert clustering_error(labels, labels) == 0.0
