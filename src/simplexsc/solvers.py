@@ -9,28 +9,28 @@ differ only in the constraint set:
     ssrsc  columns on the scale-s simplex (>= 0 and sum to s)
 
 The three constrained models run one ADMM core in scaled form (Boyd et al.
-2011): a ridge update of C, a projection update of Z and a dual ascent on
-U = Delta/rho, with a ridge shift, a scale and a projection per model from
-one table. nlsr puts lam on the C-step (shift (2*lam+rho)/2) and clips
-C - U to C >= 0. ssrsc and slsr put it on the Z-step (shift rho/2) and
-project rho/(2*lam+rho) * (C - U) onto the simplex or the hyperplane;
-ssrsc with ``zero_diagonal`` first writes each column's diagonal entry
-more than s below the column's minimum, which the same simplex projection
-sends to exactly 0 without changing the other entries.
+2011): a ridge update of C with shift rho/2, a projection update of Z and a
+dual ascent on U = Delta/rho. lam rides on the Z-step: it projects
+rho/(2*lam+rho) * (C - U), the exact prox of lam*||Z||_F^2 on each
+constraint set, so a model enters the core through its projection alone
+(one table): nlsr clips onto Z >= 0, slsr shifts onto the hyperplane and
+ssrsc projects onto the simplex; ssrsc with ``zero_diagonal`` first writes
+each column's diagonal entry more than s below the column's minimum, which
+the same simplex projection sends to exactly 0 without changing the other
+entries.
 
 The ridge system X^T X + shift*I is factored once by one thin SVD
 X = U S V^T (r = min(D, N)) into V^T and ridge = s^2/(s^2+shift); lsr's
 closed form is V diag(ridge) V^T, and ``regularized_gram_inverse`` builds
 the explicit inverse only as a reference. With V^T V = I, neither C nor U
-is ever formed: U = S + V M and, for a = rho/(2*shift) (1 for ssrsc and
-slsr), C = a(Z + S) + V(a M + W), W from ``_c_step_factor``; the dual step
-gives S_new = Z_new - (a Z + (a-1) S) and M_new = (1-a) M - W. The loop
-keeps two N x N arrays, Z^T and S^T (one row per point), and the r x N M,
-P = V^T Z and R = V^T S. Each 256-row block of Z^T is one task: a GEMM for
-its rows of C - U, the projection in place in the task's scratch, its rows
-of Z^T and S^T, three partial squared norms and its columns of P; the
-residuals come from the blocks' norms, added in block order, and O(rN)
-factor terms.
+is ever formed: U = S + V M and C = Z + S + V(M + W), W from
+``_c_step_factor``; the dual step gives S_new = Z_new - Z and M_new = -W.
+The loop keeps two N x N arrays, Z^T and S^T (one row per point), and the
+r x N M, P = V^T Z and R = V^T S. Each 256-row block of Z^T is one task: a
+GEMM for its rows of C - U = Z + V W, the projection in place in the
+task's scratch, its rows of Z^T and S^T, three partial squared norms and
+its columns of P; the residuals come from the blocks' norms, added in
+block order, and O(rN) factor terms.
 
 ssrsc's Z is sparse and non-negative, and ADMM's supports barely move. So
 a ssrsc solve of more than one row block (N > ``PROJECTION_BLOCK``) keeps
@@ -165,12 +165,12 @@ def solve_lsr(x, lam: float) -> np.ndarray:
     return kernel.vt.T @ (kernel.ridge[:, None] * kernel.vt)
 
 
-def _c_step_factor(kernel: PrecomputedKernel, vty: np.ndarray, weight: float) -> np.ndarray:
-    """W = diag(ridge)(V^T - weight V^T Y), with which the C-step is C = weight * Y + V W.
+def _c_step_factor(kernel: PrecomputedKernel, vty: np.ndarray) -> np.ndarray:
+    """W = diag(ridge)(V^T - V^T Y), with which the C-step is C = Y + V W.
 
-    C = (X^T X + shift*I)^{-1} (X^T X + rho/2 Y), Y = Z + U, weight = rho/(2*shift).
+    C = (X^T X + rho/2*I)^{-1} (X^T X + rho/2 Y), Y = Z + U.
     """
-    return kernel.ridge[:, None] * (kernel.vt - weight * vty)
+    return kernel.ridge[:, None] * (kernel.vt - vty)
 
 
 def _project_off_diagonal(v: np.ndarray, s: float, offset: int = 0, **buffers) -> np.ndarray:
@@ -211,23 +211,18 @@ def _squared_changes(dz: np.ndarray, ds: np.ndarray) -> list:
     return squares
 
 
-# Per constrained model: whether lam rides on the C-step (in the ridge shift)
-# rather than on the Z-step (as a scale of its input), and the Z-step: it
-# projects Z's columns start, start + 1, ... of v in place, ssrsc with the
-# block-sized scratch and, from the sparse loop's second iteration on, the
-# previous supports, with which it returns the positive entries instead. It
-# names this module's globals, looked up at call time, so that a tracer can
-# swap them.
+# Per constrained model, its Z-step: it projects Z's columns start,
+# start + 1, ... of v in place, ssrsc with the block-sized scratch and, from
+# the sparse loop's second iteration on, the previous supports, with which it
+# returns the positive entries instead. It names this module's globals,
+# looked up at call time, so that a tracer can swap them.
 _ADMM_MODELS = {
-    "nlsr": (True, lambda v, cfg, start, scratch: project_nonneg(v, out=v)),
-    "slsr": (False, lambda v, cfg, start, scratch: project_columns_scaled_affine(v, cfg.s, out=v)),
-    "ssrsc": (
-        False,
-        lambda v, cfg, start, scratch, support=None: (
-            _project_off_diagonal(v, cfg.s, start, out=v, scratch=scratch, support=support)
-            if cfg.zero_diagonal
-            else project_columns_scaled_simplex(v, cfg.s, out=v, scratch=scratch, support=support)
-        ),
+    "nlsr": lambda v, cfg, start, scratch: project_nonneg(v, out=v),
+    "slsr": lambda v, cfg, start, scratch: project_columns_scaled_affine(v, cfg.s, out=v),
+    "ssrsc": lambda v, cfg, start, scratch, support=None: (
+        _project_off_diagonal(v, cfg.s, start, out=v, scratch=scratch, support=support)
+        if cfg.zero_diagonal
+        else project_columns_scaled_simplex(v, cfg.s, out=v, scratch=scratch, support=support)
     ),
 }
 
@@ -237,8 +232,8 @@ def _block_threads(n: int) -> int:
 
     One per core that this process may run on, but few enough that their
     scratch (two blocks each) holds no more than one N x N array: on two
-    threads the dense loop (nlsr) peaked at 3.0-3.1 N^2 doubles (N=1200, and
-    N=1024 identical points), and the sparse loop at 3.2 N^2 on the
+    threads the dense loop (nlsr) peaked at 3.1-3.3 N^2 doubles (N=1024
+    identical points, and N=1200), and the sparse loop at 3.3 N^2 on the
     identical points, where every block is dense. So a solve of fewer than 4
     blocks (N < 1024) stays serial.
     """
@@ -391,15 +386,11 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
     n = x.shape[1]
     if cfg.zero_diagonal and n < 2:
         raise ConfigError("zero_diagonal needs at least 2 points to keep columns feasible")
-    lam_on_c_step, project = _ADMM_MODELS[model]
-    if lam_on_c_step:
-        shift, scale = 0.5 * (2.0 * cfg.lam + cfg.rho), 1.0
-    else:
-        shift, scale = 0.5 * cfg.rho, cfg.rho / (2.0 * cfg.lam + cfg.rho)
-    a = 0.5 * cfg.rho / shift  # exactly 1 for ssrsc and slsr: their S-terms drop out
+    project = _ADMM_MODELS[model]
+    scale = cfg.rho / (2.0 * cfg.lam + cfg.rho)
     blocks = [slice(start, min(start + PROJECTION_BLOCK, n)) for start in range(0, n, PROJECTION_BLOCK)]
     with single_blas_thread():
-        kernel = precompute_kernel(x, shift)
+        kernel = precompute_kernel(x, 0.5 * cfg.rho)
         vt = kernel.vt
         # ssrsc's Z is sparse and non-negative: from two row blocks on, Z^T
         # and S^T are lists of row blocks, most of them entries.
@@ -412,7 +403,7 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
             zt, st = np.zeros((n, n)), np.zeros((n, n))
         p, r, m = (np.zeros_like(vt) for _ in range(3))
         # C_0 = 0 and C_1 = V diag(ridge) V^T; after that, C_k+1 - C_k =
-        # a (I - V diag(ridge) V^T)(Y_k - Y_k-1), Y = Z + U, whose dense
+        # (I - V diag(ridge) V^T)(Y_k - Y_k-1), Y = Z + U, whose dense
         # part the previous iteration's blocks measure.
         c_change = float(np.linalg.norm(kernel.ridge))
         history: list[tuple[float, float, float]] = []
@@ -421,38 +412,31 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
         # every block cost more than the arithmetic at N = 400.
         with _block_runner(_block_threads(n), (2, min(n, PROJECTION_BLOCK), n)) as run:
             for _ in range(cfg.max_iters):
-                w = _c_step_factor(kernel, p + r + m, a)
-                f = w if a == 1.0 else (a - 1.0) * m + w
+                w = _c_step_factor(kernel, p + r + m)
                 p_next = np.empty_like(vt)
 
                 def update(rows: slice, scratch: np.ndarray) -> list:
                     """Z-step and dual step on one row block; its squared changes and columns of P."""
                     v, spare = scratch[:, : rows.stop - rows.start]
-                    if a == 1.0:
-                        h = zt[rows]
-                    else:  # h = a * Z^T + (a - 1) * S^T, with v as the temporary
-                        h = np.multiply(zt[rows], a, out=spare)
-                        h += np.multiply(st[rows], a - 1.0, out=v)
-                    np.matmul(f[:, rows].T, vt, out=v)  # rows of (C - U)^T = h + f^T V^T
-                    v += h
-                    if scale != 1.0:
-                        v *= scale
-                    # In place on v; ssrsc (a = 1, so h is not in spare) uses
-                    # spare as scratch. Its finiteness scan is the loop's only one.
+                    np.matmul(w[:, rows].T, vt, out=v)  # rows of (C - U)^T = Z^T + W^T V^T
+                    v += zt[rows]
+                    v *= scale
+                    # In place on v, with spare as ssrsc's scratch. Its
+                    # finiteness scan is the loop's only one.
                     try:
                         z_next = project(v.T, cfg, rows.start, spare).T
                     except NumericError as exc:
                         raise DivergenceError("ADMM iterates became non-finite") from exc
-                    s_next = np.subtract(z_next, h, out=spare)  # h is spent
-                    # Until the stores, the rows of Z^T (nlsr) and S^T hold the changes.
-                    dz = s_next if a == 1.0 else np.subtract(z_next, zt[rows], out=zt[rows])
-                    squares = _squared_changes(dz, np.subtract(s_next, st[rows], out=st[rows]))
+                    # S_new = Z_new - Z, also the change in Z; until the
+                    # stores, the rows of S^T hold its change.
+                    s_next = np.subtract(z_next, zt[rows], out=spare)
+                    squares = _squared_changes(s_next, np.subtract(s_next, st[rows], out=st[rows]))
                     st[rows], zt[rows] = s_next, z_next
                     p_next[:, rows] = vt @ zt[rows].T
                     return squares
 
                 def update_sparse(rows: slice, scratch: np.ndarray) -> list:
-                    """The step of update on one row block of the sparse loop's Z^T and S^T (ssrsc: a = 1).
+                    """The step of update on one row block of the sparse loop's Z^T and S^T.
 
                     From the second iteration on, the projection screens the
                     block's columns with their previous supports and returns
@@ -466,9 +450,9 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                     block = rows.start // PROJECTION_BLOCK
                     z_old, s_old = zt[block], st[block]
                     v, spare = scratch[:, : rows.stop - rows.start]
-                    np.matmul(f[:, rows].T, vt, out=v)
+                    np.matmul(w[:, rows].T, vt, out=v)
                     flat = v.reshape(-1)
-                    _apply(np.add, flat, z_old)  # + h
+                    _apply(np.add, flat, z_old)
                     v *= scale
                     warm = () if isinstance(z_old, np.ndarray) or not z_old[0].size else (z_old[0],)
                     try:
@@ -514,13 +498,16 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 # Summed in block order, whatever ran them.
                 for squares in run(update_sparse if sparse else update, blocks):
                     dense_sq += squares
-                dp, dm = p_next - p, -(a * m + w)
-                dr = dp - r if a == 1.0 else p_next - a * (p + r)
-                row = (_split_norm(dense_sq[1], dr, dm), c_change, float(np.sqrt(dense_sq[0])))
+                dp, dm = p_next - p, -(m + w)
+                dr = dp - r
+                # An overflowed iterate's norms give inf - inf = NaN, which
+                # the check raises on (c_change in the next row).
+                with np.errstate(invalid="ignore", over="ignore"):
+                    row = (_split_norm(dense_sq[1], dr, dm), c_change, float(np.sqrt(dense_sq[0])))
+                    c_change = _split_norm(dense_sq[2], dp + dr, dm, 1.0 - kernel.ridge[:, None])
                 if not np.all(np.isfinite(row)):
                     raise DivergenceError("ADMM iterates became non-finite")
                 history.append(row)
-                c_change = a * _split_norm(dense_sq[2], dp + dr, dm, 1.0 - kernel.ridge[:, None])
                 p, r, m = p_next, r + dr, m + dm
                 converged = max(row) <= cfg.tol
                 if converged:
@@ -539,7 +526,7 @@ def solve_ssrsc(x, cfg: SolverConfig) -> SolveResult:
 
 
 def solve_nlsr(x, cfg: SolverConfig) -> SolveResult:
-    """ADMM with non-negative coefficients (lam on the C-step, a clip as the Z-step)."""
+    """ADMM with non-negative coefficients (a clip as the Z-step, which carries lam as for ssrsc and slsr)."""
     return _solve_admm(x, cfg, "nlsr")
 
 

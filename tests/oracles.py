@@ -124,10 +124,9 @@ def _project_columns_simplex(v, s):
 def admm_with_inverse(x, inverse, model, lam, s, rho, iters):
     """``iters`` scaled-form ADMM steps for nlsr/slsr/ssrsc through an explicit ridge inverse.
 
-    ``inverse`` is (X^T X + shift*I)^{-1}, with shift (2*lam+rho)/2 for nlsr
-    and rho/2 otherwise. From all-zero iterates each step takes
-    C = inverse (X^T X + rho/2 (Z + U)), Z = proj(scale (C - U)) and
-    U += Z - C, with scale 1 for nlsr and rho/(2*lam+rho) otherwise; the
+    ``inverse`` is (X^T X + rho/2*I)^{-1}. From all-zero iterates each step
+    takes C = inverse (X^T X + rho/2 (Z + U)), Z = proj(scale (C - U)) and
+    U += Z - C, with scale rho/(2*lam+rho) for every model; the
     projection clips to C >= 0 (nlsr), shifts columns to sum s (slsr) or
     projects them onto the scale-s simplex (ssrsc). Returns Z and, per step,
     the dense norms (||Z - C||, ||C - C_prev||, ||Z - Z_prev||).
@@ -137,7 +136,7 @@ def admm_with_inverse(x, inverse, model, lam, s, rho, iters):
     z = np.zeros((n, n))
     u = np.zeros((n, n))
     c_prev = np.zeros((n, n))
-    scale = 1.0 if model == "nlsr" else rho / (2.0 * lam + rho)
+    scale = rho / (2.0 * lam + rho)
     history = []
     for _ in range(iters):
         c = inverse @ (gram + rho / 2.0 * (z + u))
@@ -154,6 +153,50 @@ def admm_with_inverse(x, inverse, model, lam, s, rho, iters):
         )
         z, c_prev = z_next, c
     return z, history
+
+
+def ridge_objective(x, c, lam):
+    """f(C) = ||X - XC||_F^2 + lam * ||C||_F^2, the objective every model minimizes."""
+    return float(np.sum((x - x @ c) ** 2) + lam * np.sum(c**2))
+
+
+def _ridge_gradient(x, c, lam):
+    gram = x.T @ x
+    return 2.0 * (gram @ c - gram + lam * c)
+
+
+def nonneg_certificate(x, c, lam):
+    """Projected-gradient residual ||C - max(C - grad f(C), 0)||_F over ||grad f(0)||_F.
+
+    Zero exactly at the optimum over C >= 0.
+    """
+    residual = c - np.maximum(c - _ridge_gradient(x, c, lam), 0.0)
+    return float(np.linalg.norm(residual) / np.linalg.norm(2.0 * x.T @ x))
+
+
+def hyperplane_certificate(x, c, lam, s):
+    """(f(C) - f*) / f* against the closed-form optimum over columns summing to s.
+
+    With A = X^T X + lam*I, each column's KKT system gives
+    C* = A^{-1} X^T X + A^{-1} 1 (s - 1^T A^{-1} X^T X) / (1^T A^{-1} 1).
+    """
+    gram = x.T @ x
+    system = gram + lam * np.eye(gram.shape[0])
+    free = np.linalg.solve(system, gram)
+    direction = np.linalg.solve(system, np.ones(gram.shape[0]))
+    optimum = free + np.outer(direction, (s - free.sum(axis=0)) / direction.sum())
+    best = ridge_objective(x, optimum, lam)
+    return (ridge_objective(x, c, lam) - best) / best
+
+
+def simplex_certificate(x, c, lam, s):
+    """Frank-Wolfe gap sum_j (g_j^T c_j - s min_i g_ij) over f(C), g = grad f(C).
+
+    It bounds f(C) - f* over the scale-s simplex columns from above (Jaggi 2013).
+    """
+    gradient = _ridge_gradient(x, c, lam)
+    gap = np.sum(gradient * c) - s * gradient.min(axis=0).sum()
+    return float(gap / ridge_objective(x, c, lam))
 
 
 def pgd_ssrsc_oracle(x, lam, s, iters=100_000):

@@ -126,7 +126,7 @@ def test_criterion_04_woodbury_equivalence():
         # The solvers' thin-SVD ridge route against ADMM through either explicit inverse.
         for model in ("ssrsc", "nlsr", "slsr"):
             cfg = SolverConfig(model=model)
-            shift = (2 * cfg.lam + cfg.rho) / 2 if model == "nlsr" else cfg.rho / 2
+            shift = cfg.rho / 2
             for seed in range(3):
                 x = np.random.default_rng(440 + seed).standard_normal((4, 18))
                 result = solve(x, cfg)

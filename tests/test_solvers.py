@@ -2,6 +2,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -31,10 +32,13 @@ from simplexsc.solvers import _c_step_factor, _project_off_diagonal
 from oracles import (
     _project_columns_simplex,
     admm_with_inverse,
+    hyperplane_certificate,
     hyperplane_column_oracle,
     nnls_column_oracle,
+    nonneg_certificate,
     pgd_ssrsc_oracle,
     qp_simplex_oracle,
+    simplex_certificate,
     ssrsc_column_oracle,
 )
 
@@ -266,7 +270,7 @@ class TestWoodburyEquivalence:
         rng = np.random.default_rng(16)
         x = rng.standard_normal((4, 15))
         cfg = SolverConfig(model=model)
-        shift = (2 * cfg.lam + cfg.rho) / 2 if model == "nlsr" else cfg.rho / 2
+        shift = cfg.rho / 2
         result = solve(x, cfg)
         for mode in ("direct", "woodbury"):
             inverse = regularized_gram_inverse(x, shift, mode=mode)
@@ -284,7 +288,7 @@ class TestResidualHistory:
     def test_matches_the_dense_norms_of_explicit_admm(self, model, shape):
         x = np.random.default_rng(59).standard_normal(shape)
         cfg = SolverConfig(model=model, max_iters=300, tol=1e-300)
-        shift = (2 * cfg.lam + cfg.rho) / 2 if model == "nlsr" else cfg.rho / 2
+        shift = cfg.rho / 2
         result = solve(x, cfg)
         direct, woodbury = (
             np.array(admm_with_inverse(
@@ -299,6 +303,25 @@ class TestResidualHistory:
         # at N = 257): the two inverses' disagreement measures it.
         floor = np.abs(direct - woodbury).max()
         np.testing.assert_allclose(result.residual_history, direct, rtol=1e-9, atol=1e-13 + 2 * floor)
+
+
+class TestOptimalityAtDefaultTolerance:
+    # The acceptance fixture's shape; the certificates read at most 2.2e-4
+    # (nlsr), 8.2e-5 (slsr) and 1.9e-5 (ssrsc) on seeds 0-4.
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("model", ["nlsr", "slsr", "ssrsc"])
+    def test_tol_one_percent_is_near_the_optimum(self, model, seed):
+        x = generate_synthetic(SyntheticSpec(30, 4, 3, 50, 0.05, seed)).data
+        cfg = SolverConfig(model=model, tol=0.01, max_iters=5000)
+        result = solve(x, cfg)
+        assert result.converged
+        z = result.coefficients
+        certificate = {
+            "nlsr": lambda: nonneg_certificate(x, z, cfg.lam),
+            "slsr": lambda: hyperplane_certificate(x, z, cfg.lam, cfg.s),
+            "ssrsc": lambda: simplex_certificate(x, z, cfg.lam, cfg.s),
+        }[model]()
+        assert certificate <= 1e-3
 
 
 class TestBoundaryProperty:
@@ -427,7 +450,7 @@ KERNEL_SHAPES = {
 
 
 class TestLowRankKernel:
-    # shift 0.25 = rho/2 is the ssrsc/slsr C-step, whose weight rho/(2*shift) is 1.
+    # The C-step's shift is rho/2: shift 0.3 takes rho 0.6 and shift 0.25 the default rho 0.5.
     @pytest.mark.parametrize(
         "shape, shift",
         [pytest.param(shape, 0.3, id=shape) for shape in sorted(KERNEL_SHAPES)]
@@ -441,9 +464,10 @@ class TestLowRankKernel:
         assert kernel.vt.shape == (min(x.shape), n)
         z = rng.random((n, n))
         delta = rng.standard_normal((n, n))
-        weight, y = 0.5 / (2.0 * shift), z + delta / 0.5
-        c = weight * y + kernel.vt.T @ _c_step_factor(kernel, kernel.vt @ y, weight)
-        expected = regularized_gram_inverse(x, shift) @ (x.T @ x + 0.25 * z + 0.5 * delta)
+        rho = 2.0 * shift
+        y = z + delta / rho
+        c = y + kernel.vt.T @ _c_step_factor(kernel, kernel.vt @ y)
+        expected = regularized_gram_inverse(x, shift) @ (x.T @ x + shift * z + 0.5 * delta)
         np.testing.assert_allclose(c, expected, rtol=1e-10, atol=1e-10)
 
     @pytest.mark.parametrize("shape", sorted(KERNEL_SHAPES))
@@ -498,8 +522,7 @@ class TestLowRankKernel:
             # and two more N x N arrays, and half of one more adds 5.8 MB.
             assert peak <= (3.5 * n * n + 8 * r * n) * 8, cfg
             peaks[route, cfg.model, cfg.zero_diagonal] = peak
-        # nlsr's a*Z^T + (a-1)*S^T and Z_new - Z^T live in the block scratch;
-        # as fresh blocks they took nlsr 0.08 N^2 doubles above ssrsc.
+        # nlsr's block step is ssrsc's without the projection's scratch.
         assert peaks["dense", "nlsr", False] <= peaks["dense", "ssrsc", False]
         # The sparse loop's Z^T and S^T hold the iterates' nonzeros (11% of the
         # entries after one iteration, 2.5% after five); it peaked at
@@ -513,7 +536,7 @@ class TestLowRankKernel:
     @pytest.mark.parametrize("where", ["column", "diagonal"])
     def test_non_finite_c_step_raises_divergence_error(self, model, zero_diagonal, where, monkeypatch):
         # An infinite C-step output shows in the Z-step input, scale * (C - U).
-        lam_on_c_step, project = solvers._ADMM_MODELS[model]
+        project = solvers._ADMM_MODELS[model]
 
         def overflowing(v, cfg, start, scratch):
             if where == "column":
@@ -522,11 +545,20 @@ class TestLowRankKernel:
                 v[2, 2] = np.inf
             return project(v, cfg, start, scratch)
 
-        monkeypatch.setitem(solvers._ADMM_MODELS, model, (lam_on_c_step, overflowing))
+        monkeypatch.setitem(solvers._ADMM_MODELS, model, overflowing)
         x = np.random.default_rng(58).standard_normal((4, 10))
         cfg = SolverConfig(model=model, zero_diagonal=zero_diagonal, max_iters=1)
         with pytest.raises(DivergenceError):
             solve(x, cfg)
+
+    @pytest.mark.parametrize("n", [100, 300], ids=["N=100", "N=300"])
+    @pytest.mark.parametrize("model", ["ssrsc", "slsr"])
+    def test_overflowing_scale_raises_divergence_error_without_a_warning(self, model, n):
+        x = np.random.default_rng(64).standard_normal((10, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                solve(x, SolverConfig(model=model, s=1e200))
 
     @pytest.mark.parametrize("model", ["ssrsc", "nlsr", "slsr", "lsr"])
     def test_huge_data_raises_numeric_error(self, model):
@@ -592,7 +624,7 @@ class TestBlockThreads:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_on_a_helper_raises_divergence_error(self, points, bad, two_cores, monkeypatch):
-        lam_on_c_step, project = solvers._ADMM_MODELS["ssrsc"]
+        project = solvers._ADMM_MODELS["ssrsc"]
         helpers = []
 
         def overflowing(v, cfg, start, scratch, *top_m):
@@ -601,7 +633,7 @@ class TestBlockThreads:
                 v[5, 7] = bad
             return project(v, cfg, start, scratch, *top_m)
 
-        monkeypatch.setitem(solvers._ADMM_MODELS, "ssrsc", (lam_on_c_step, overflowing))
+        monkeypatch.setitem(solvers._ADMM_MODELS, "ssrsc", overflowing)
         before = threading.active_count()
         with pytest.raises(DivergenceError):
             solve(points, SolverConfig(max_iters=3))

@@ -20,9 +20,11 @@ timed best of 5; k-means is timed inside the spectral stage by wrapping
 ``simplexsc.spectral.kmeans``, which the stage looks up at call time. The
 same solve timings go to ``BENCH_admm.json`` and ``BENCH_pipeline.json``.
 One more pipeline runs under tracemalloc for the peak allocation of the
-solve and of the spectral stage (each from a reset peak). One more solve
-takes the N=400 input to tolerance, the shape of the ``solve-to-tol``
-workload's ssrsc solve (tol 0.01, at most 5000 iterations, best of 3).
+solve and of the spectral stage (each from a reset peak). Three more solves
+take the N=400 input to tolerance, the shapes of the ``solve-to-tol``
+workload's ssrsc, slsr and nlsr solves (tol 0.01, at most 5000 iterations,
+best of 3 each), under ``to_tolerance`` for ssrsc and
+``to_tolerance_<model>`` for the other two.
 
 k-means inputs: k unit-normalised Gaussian blobs in k dimensions (the shape
 of the row-normalised spectral embedding that kmeans receives), fixed seeds:
@@ -229,24 +231,28 @@ def main() -> None:
 
     n, spec, _ = SIZES[0]
     x = generate_synthetic(SyntheticSpec(*spec, 0.01, seed=1)).data
-    tol_cfg = SolverConfig(**TO_TOLERANCE)
-    threads, result = with_helper_threads(lambda: solve(x, tol_cfg))
-    best_s, median_s = best_and_median([seconds(lambda: solve(x, tol_cfg)) for _ in range(TOLERANCE_REPEATS)])
-    to_tolerance = {
-        "n": n,
-        "d": x.shape[0],
-        "solver": {"model": "ssrsc", **TO_TOLERANCE},
-        "iterations": result.iterations_used,
-        "helper_threads": threads,
-        "best_s": best_s,
-        "median_s": median_s,
-        "ms_per_iteration": best_s / result.iterations_used * 1e3,
-        "output_sha256": solve_digest(result),
-    }
-    print(
-        f"{args.label} N={n} to tol {TO_TOLERANCE['tol']}: {result.iterations_used} iterations, "
-        f"best {best_s * 1e3:.0f} ms ({to_tolerance['ms_per_iteration']:.2f} ms an iteration)"
-    )
+    to_tolerance = {}
+    for model in ("ssrsc", "slsr", "nlsr"):
+        tol_cfg = SolverConfig(model=model, **TO_TOLERANCE)
+        threads, result = with_helper_threads(lambda: solve(x, tol_cfg))
+        times = [seconds(lambda: solve(x, tol_cfg)) for _ in range(TOLERANCE_REPEATS)]
+        best_s, median_s = best_and_median(times)
+        key = "to_tolerance" if model == "ssrsc" else f"to_tolerance_{model}"
+        to_tolerance[key] = {
+            "n": n,
+            "d": x.shape[0],
+            "solver": {"model": model, **TO_TOLERANCE},
+            "iterations": result.iterations_used,
+            "helper_threads": threads,
+            "best_s": best_s,
+            "median_s": median_s,
+            "ms_per_iteration": best_s / result.iterations_used * 1e3,
+            "output_sha256": solve_digest(result),
+        }
+        print(
+            f"{args.label} {model} N={n} to tol {TO_TOLERANCE['tol']}: {result.iterations_used} iterations, "
+            f"best {best_s * 1e3:.0f} ms ({to_tolerance[key]['ms_per_iteration']:.2f} ms an iteration)"
+        )
 
     shapes = {}
     with single_blas_thread():
@@ -270,7 +276,7 @@ def main() -> None:
             print(f"{args.label} k-means {name}: best {best_s * 1e3:.2f} ms per call")
 
     solver = {"model": cfg.model, "max_iters": cfg.max_iters, "lam": cfg.lam, "rho": cfg.rho}
-    write("admm", args.label, {**common, "solver": solver, "sizes": solves, "to_tolerance": to_tolerance})
+    write("admm", args.label, {**common, "solver": solver, "sizes": solves, **to_tolerance})
     write("pipeline", args.label, {**common, "solver": solver, "affinity": "sym", "sizes": pipelines})
     write("kmeans", args.label, {**common, "shapes": shapes})
 
