@@ -78,8 +78,11 @@ class SolverConfig:
     """Model choice plus the hyperparameters shared by all solvers.
 
     ``lam`` is the ridge regularization weight, ``s`` the column-sum scale of
-    the simplex/affine constraint, ``rho`` the ADMM penalty. ``max_iters`` and
-    ``tol`` bound the ADMM loop (residuals are compared with <=).
+    the simplex/affine constraint, ``rho`` the starting ADMM penalty: after
+    the fifth iteration, residual balancing doubles or halves it when one
+    residual exceeds 10 times the other, up to 4*rho, as a larger penalty
+    loosens the ||Z_k+1 - Z_k|| stopping test (see ``solvers``). ``max_iters``
+    and ``tol`` bound the ADMM loop (residuals are compared with <=).
     ``zero_diagonal`` (ssrsc only) keeps every point out of its own
     representation. ``seed`` is unused: the solvers draw no randomness and
     the result document records ``SpectralConfig.seed``; it stays because

@@ -19,12 +19,24 @@ each column's diagonal entry more than s below the column's minimum, which
 the same simplex projection sends to exactly 0 without changing the other
 entries.
 
+cfg.rho is the starting penalty. Between iterations k and k+1, for
+5 <= k < max_iters, residual balancing (Boyd et al. 2011, section 3.4.1)
+doubles rho when the primal residual ||C - Z|| exceeds 10 times the dual
+rho*||Z_k+1 - Z_k||, and halves it in the opposite case; so a solve of at
+most 5 iterations, the default, keeps the fixed-rho iterates bit for bit.
+rho stays at most 4*cfg.rho: the stopping test reads ||Z_k+1 - Z_k||
+without rho, so a larger rho loosens it, and uncapped, rho reached 8-16 on
+the acceptance fixture with ssrsc's Frank-Wolfe gap at 0.8-2.4e-3 of f.
+
 The ridge system X^T X + shift*I is factored once by one thin SVD
-X = U S V^T (r = min(D, N)) into V^T and ridge = s^2/(s^2+shift); lsr's
-closed form is V diag(ridge) V^T, and ``regularized_gram_inverse`` builds
-the explicit inverse only as a reference. With V^T V = I, neither C nor U
-is ever formed: U = S + V M and C = Z + S + V(M + W), W from
-``_c_step_factor``; the dual step gives S_new = Z_new - Z and M_new = -W.
+X = U S V^T (r = min(D, N)) into V^T, s^2 and ridge = s^2/(s^2+shift);
+lsr's closed form is V diag(ridge) V^T, and ``regularized_gram_inverse``
+builds the explicit inverse only as a reference. A change of rho takes the
+new shift's ridge from s^2, in O(r), and multiplies the scaled dual by
+rho_old/rho_new in place, so no solve factors twice. With V^T V = I,
+neither C nor U is ever formed: U = S + V M and C = Z + S + V(M + W), W
+from ``_c_step_factor``; the dual step gives S_new = Z_new - Z and
+M_new = -W.
 The loop keeps two N x N arrays, Z^T and S^T (one row per point), and the
 r x N M, P = V^T Z and R = V^T S. Each 256-row block of Z^T is one task: a
 GEMM for its rows of C - U = Z + V W, the projection in place in the
@@ -76,6 +88,15 @@ GRAM_INVERSE_MODES = ("direct", "woodbury", "auto")
 # Rows of Z^T that the ADMM loop updates and projects together: this width
 # bounds the loop's block scratch and each projection call's temporaries.
 PROJECTION_BLOCK = 256
+# Residual balancing (Boyd et al. 2011, section 3.4.1) between iterations k
+# and k+1 for BALANCE_FROM <= k < max_iters: rho is multiplied by
+# BALANCE_STEP while the primal residual exceeds BALANCE_RATIO times the
+# dual, up to BALANCE_CAP times the configured rho, and divided by it in the
+# opposite case.
+BALANCE_FROM = 5
+BALANCE_RATIO = 10.0
+BALANCE_STEP = 2.0
+BALANCE_CAP = 4.0
 
 @dataclass(frozen=True)
 class PrecomputedKernel:
@@ -84,11 +105,17 @@ class PrecomputedKernel:
     With X = U S V^T and ridge = s^2/(s^2 + shift):
     (X^T X + shift*I)^{-1} X^T X = V diag(ridge) V^T and
     (X^T X + shift*I)^{-1} = I/shift - V diag(ridge/shift) V^T. No N x N
-    matrix is kept.
+    matrix is kept; the squared singular values give the factors of another
+    shift without a second SVD.
     """
 
-    vt: np.ndarray     # V^T, r x N
-    ridge: np.ndarray  # s^2 / (s^2 + shift), one per singular value
+    vt: np.ndarray       # V^T, r x N
+    ridge: np.ndarray    # s^2 / (s^2 + shift), one per singular value
+    squared: np.ndarray  # s^2
+
+    def with_shift(self, shift: float) -> PrecomputedKernel:
+        """The factors of X^T X + shift*I, sharing V^T."""
+        return PrecomputedKernel(self.vt, self.squared / (self.squared + shift), self.squared)
 
 
 @dataclass
@@ -149,10 +176,10 @@ def precompute_kernel(x, shift: float) -> PrecomputedKernel:
         raise NumericError(f"SVD of the data matrix failed: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):
         squared = singular**2
-        ridge = squared / (squared + shift)
-    if not np.all(np.isfinite(ridge)):
+        kernel = PrecomputedKernel(vt, squared / (squared + shift), squared)
+    if not np.all(np.isfinite(kernel.ridge)):
         raise NumericError("ridge kernel factors are non-finite; rescale the data")
-    return PrecomputedKernel(vt, ridge)
+    return kernel
 
 
 @single_blas_thread()
@@ -192,15 +219,23 @@ def _project_off_diagonal(v: np.ndarray, s: float, offset: int = 0, **buffers) -
     return project_columns_scaled_simplex(v, s, **buffers)
 
 
-def _split_norm(dense_sq: float, vt_dense: np.ndarray, factor: np.ndarray, weights=1.0) -> float:
-    """||(I - V V^T) D + V (weights * (V^T D + F))||_F from ||D||_F^2, V^T D and F.
+def _split_norm(dense_sq: float, vt_dense: np.ndarray, inside: np.ndarray) -> float:
+    """||(I - V V^T) D + V G||_F from ||D||_F^2, V^T D and G.
 
-    By V^T V = I its square is (||D||^2 - ||V^T D||^2) + ||weights * (V^T D + F)||^2,
-    which cancels far less than ||D||^2 + 2<V^T D, F> + ||F||^2 (weights 1).
+    By V^T V = I its square is (||D||^2 - ||V^T D||^2) + ||G||^2, which for
+    G = V^T D + F cancels far less than ||D||^2 + 2<V^T D, F> + ||F||^2.
     """
     outside = dense_sq - np.vdot(vt_dense, vt_dense)  # >= 0 up to rounding; NaN stays NaN
-    inside = weights * (vt_dense + factor)
     return float(np.sqrt(max(outside, 0.0) + np.vdot(inside, inside)))
+
+
+def _balanced_rho(rho: float, cap: float, primal: float, dual: float) -> float:
+    """The penalty after residual balancing: rho, or rho times or over BALANCE_STEP, at most cap."""
+    if primal > BALANCE_RATIO * dual:
+        return min(rho * BALANCE_STEP, cap)
+    if dual > BALANCE_RATIO * primal:
+        return rho / BALANCE_STEP
+    return rho
 
 
 def _squared_changes(dz: np.ndarray, ds: np.ndarray) -> list:
@@ -325,6 +360,13 @@ def _kept(v: np.ndarray, owned):
     return v.copy()
 
 
+def _rescale(blocks: list, factor: float) -> None:
+    """Multiply the sparse loop's row blocks by factor in place: their values, or the dense blocks."""
+    for block in blocks:
+        values = block if isinstance(block, np.ndarray) else block[1]
+        values *= factor
+
+
 def _union(*positions: np.ndarray) -> np.ndarray:
     """The sorted union of sorted position arrays (a stable sort merges the runs)."""
     merged = np.concatenate(positions)
@@ -387,10 +429,11 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
     if cfg.zero_diagonal and n < 2:
         raise ConfigError("zero_diagonal needs at least 2 points to keep columns feasible")
     project = _ADMM_MODELS[model]
-    scale = cfg.rho / (2.0 * cfg.lam + cfg.rho)
+    rho = cfg.rho
+    scale = rho / (2.0 * cfg.lam + rho)
     blocks = [slice(start, min(start + PROJECTION_BLOCK, n)) for start in range(0, n, PROJECTION_BLOCK)]
     with single_blas_thread():
-        kernel = precompute_kernel(x, 0.5 * cfg.rho)
+        kernel = precompute_kernel(x, 0.5 * rho)
         vt = kernel.vt
         # ssrsc's Z is sparse and non-negative: from two row blocks on, Z^T
         # and S^T are lists of row blocks, most of them entries.
@@ -503,15 +546,45 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 # An overflowed iterate's norms give inf - inf = NaN, which
                 # the check raises on (c_change in the next row).
                 with np.errstate(invalid="ignore", over="ignore"):
-                    row = (_split_norm(dense_sq[1], dr, dm), c_change, float(np.sqrt(dense_sq[0])))
-                    c_change = _split_norm(dense_sq[2], dp + dr, dm, 1.0 - kernel.ridge[:, None])
+                    row = (_split_norm(dense_sq[1], dr, dr + dm), c_change, float(np.sqrt(dense_sq[0])))
                 if not np.all(np.isfinite(row)):
                     raise DivergenceError("ADMM iterates became non-finite")
                 history.append(row)
-                p, r, m = p_next, r + dr, m + dm
                 converged = max(row) <= cfg.tol
                 if converged:
                     break
+                rho_next, f = rho, 1.0
+                if BALANCE_FROM <= len(history) < cfg.max_iters:
+                    rho_next = _balanced_rho(rho, BALANCE_CAP * cfg.rho, row[0], rho * row[2])
+                with np.errstate(invalid="ignore", over="ignore"):
+                    if rho_next == rho:
+                        c_change = _split_norm(dense_sq[2], dp + dr, (1.0 - kernel.ridge[:, None]) * (dp + dr + dm))
+                    else:
+                        # The scaled dual U = Delta/rho becomes f U: S, R and M
+                        # are rescaled in place. With Y the last C-step's
+                        # Z + U (V^T Y = P + R + M until their update below),
+                        # C_k+2 - C_k+1 = (I - V ridge' V^T)(Z + f U - Y)
+                        # + V (ridge' - ridge)(V^T - V^T Y), whose dense part
+                        # D = (1 + f) S - S_old has its squared norm from the
+                        # blocks' three.
+                        f = rho / rho_next
+                        ridge = kernel.ridge
+                        rho, kernel = rho_next, kernel.with_shift(0.5 * rho_next)
+                        scale = rho / (2.0 * cfg.lam + rho)
+                        z_sq, ds_sq, sum_sq = dense_sq  # ||S||^2, ||S - S_old||^2, ||2 S - S_old||^2
+                        vtd = (1.0 + f) * dp - r
+                        inside = (1.0 - kernel.ridge[:, None]) * (vtd - f * w - m)
+                        inside += (kernel.ridge - ridge)[:, None] * (vt - (p + r + m))
+                        c_change = _split_norm(f * f * z_sq + ds_sq + f * (sum_sq - z_sq - ds_sq), vtd, inside)
+                        del vtd, inside  # held through the next iteration, they would raise its peak
+                        if sparse:
+                            _rescale(st, f)
+                        else:
+                            st *= f
+                p, r, m = p_next, r + dr, m + dm
+                if f != 1.0:
+                    r *= f
+                    m *= f
         if sparse:
             st.clear()  # room for assembling Z
             z = _assembled(zt, n, n >= spectral.SPARSE_EIGEN_MIN_N)

@@ -122,25 +122,31 @@ def _project_columns_simplex(v, s):
 
 
 def admm_with_inverse(x, inverse, model, lam, s, rho, iters):
-    """``iters`` scaled-form ADMM steps for nlsr/slsr/ssrsc through an explicit ridge inverse.
+    """``iters`` scaled-form ADMM steps for nlsr/slsr/ssrsc through explicit ridge inverses.
 
-    ``inverse`` is (X^T X + rho/2*I)^{-1}. From all-zero iterates each step
-    takes C = inverse (X^T X + rho/2 (Z + U)), Z = proj(scale (C - U)) and
-    U += Z - C, with scale rho/(2*lam+rho) for every model; the
-    projection clips to C >= 0 (nlsr), shifts columns to sum s (slsr) or
-    projects them onto the scale-s simplex (ssrsc). Returns Z and, per step,
-    the dense norms (||Z - C||, ||C - C_prev||, ||Z - Z_prev||).
+    ``inverse(shift)`` returns (X^T X + shift*I)^{-1}. From all-zero
+    iterates each step takes C = inverse(rho/2) (X^T X + rho/2 (Z + U)),
+    Z = proj(scale (C - U)) and U += Z - C, with scale rho/(2*lam+rho) for
+    every model; the projection clips to C >= 0 (nlsr), shifts columns to
+    sum s (slsr) or projects them onto the scale-s simplex (ssrsc). After
+    step k, for 5 <= k < iters, rho is balanced (Boyd et al. 2011, 3.4.1):
+    doubled, to at most 4 times its start, when the primal residual
+    ||Z - C|| exceeds 10 times the dual rho ||Z - Z_prev||, and halved in
+    the opposite case; U is then multiplied by rho_old/rho_new and the next
+    step takes a fresh inverse. Returns Z and, per step, the dense norms
+    (||Z - C||, ||C - C_prev||, ||Z - Z_prev||).
     """
     gram = x.T @ x
     n = gram.shape[0]
     z = np.zeros((n, n))
     u = np.zeros((n, n))
     c_prev = np.zeros((n, n))
-    scale = rho / (2.0 * lam + rho)
+    cap = 4.0 * rho
+    ridge_inverse = inverse(rho / 2.0)
     history = []
-    for _ in range(iters):
-        c = inverse @ (gram + rho / 2.0 * (z + u))
-        v = scale * (c - u)
+    for step in range(1, iters + 1):
+        c = ridge_inverse @ (gram + rho / 2.0 * (z + u))
+        v = rho / (2.0 * lam + rho) * (c - u)
         if model == "nlsr":
             z_next = np.maximum(v, 0.0)
         elif model == "slsr":
@@ -148,10 +154,19 @@ def admm_with_inverse(x, inverse, model, lam, s, rho, iters):
         else:
             z_next = _project_columns_simplex(v, s)
         u += z_next - c
-        history.append(
-            (np.linalg.norm(z_next - c), np.linalg.norm(c - c_prev), np.linalg.norm(z_next - z))
-        )
+        primal, dual = np.linalg.norm(z_next - c), rho * np.linalg.norm(z_next - z)
+        history.append((primal, np.linalg.norm(c - c_prev), np.linalg.norm(z_next - z)))
         z, c_prev = z_next, c
+        if 5 <= step < iters:
+            balanced = rho
+            if primal > 10.0 * dual:
+                balanced = min(2.0 * rho, cap)
+            elif dual > 10.0 * primal:
+                balanced = rho / 2.0
+            if balanced != rho:
+                u *= rho / balanced
+                rho = balanced
+                ridge_inverse = inverse(rho / 2.0)
     return z, history
 
 
@@ -196,6 +211,20 @@ def simplex_certificate(x, c, lam, s):
     """
     gradient = _ridge_gradient(x, c, lam)
     gap = np.sum(gradient * c) - s * gradient.min(axis=0).sum()
+    return float(gap / ridge_objective(x, c, lam))
+
+
+def zero_diagonal_simplex_certificate(x, c, lam, s):
+    """Frank-Wolfe gap over f(C) on scale-s simplex columns that leave out their own point.
+
+    Column j's linear minimizer puts s on the smallest gradient entry among
+    i != j, so the gap is sum_j (g_j^T c_j - s min_{i != j} g_ij).
+    """
+    gradient = _ridge_gradient(x, c, lam)
+    gap = 0.0
+    for j in range(c.shape[1]):
+        others = np.delete(gradient[:, j], j)
+        gap += gradient[:, j] @ c[:, j] - s * others.min()
     return float(gap / ridge_objective(x, c, lam))
 
 

@@ -40,6 +40,7 @@ from oracles import (
     qp_simplex_oracle,
     simplex_certificate,
     ssrsc_column_oracle,
+    zero_diagonal_simplex_certificate,
 )
 
 TIGHT = dict(max_iters=20000, tol=1e-10)
@@ -270,12 +271,12 @@ class TestWoodburyEquivalence:
         rng = np.random.default_rng(16)
         x = rng.standard_normal((4, 15))
         cfg = SolverConfig(model=model)
-        shift = cfg.rho / 2
         result = solve(x, cfg)
         for mode in ("direct", "woodbury"):
-            inverse = regularized_gram_inverse(x, shift, mode=mode)
             reference, _ = admm_with_inverse(
-                x, inverse, model, cfg.lam, cfg.s, cfg.rho, result.iterations_used
+                x,
+                lambda shift: regularized_gram_inverse(x, shift, mode=mode),
+                model, cfg.lam, cfg.s, cfg.rho, result.iterations_used,
             )
             assert frobenius_distance(result.coefficients, reference) <= 1e-6
 
@@ -288,11 +289,10 @@ class TestResidualHistory:
     def test_matches_the_dense_norms_of_explicit_admm(self, model, shape):
         x = np.random.default_rng(59).standard_normal(shape)
         cfg = SolverConfig(model=model, max_iters=300, tol=1e-300)
-        shift = cfg.rho / 2
         result = solve(x, cfg)
         direct, woodbury = (
             np.array(admm_with_inverse(
-                x, regularized_gram_inverse(x, shift, mode=mode), model, cfg.lam, cfg.s, cfg.rho, 300
+                x, lambda shift: regularized_gram_inverse(x, shift, mode=mode), model, cfg.lam, cfg.s, cfg.rho, 300
             )[1])
             for mode in ("direct", "woodbury")
         )
@@ -306,22 +306,60 @@ class TestResidualHistory:
 
 
 class TestOptimalityAtDefaultTolerance:
-    # The acceptance fixture's shape; the certificates read at most 2.2e-4
-    # (nlsr), 8.2e-5 (slsr) and 1.9e-5 (ssrsc) on seeds 0-4.
+    # The acceptance fixture's shape; with residual balancing the
+    # certificates read at most 2.2e-4 (nlsr), 8.2e-5 (slsr), 2.9e-5 (ssrsc)
+    # and 3.6e-4 (zero-diagonal ssrsc) on seeds 0-4.
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("model", ["nlsr", "slsr", "ssrsc"])
+    @pytest.mark.parametrize("model", ["nlsr", "slsr", "ssrsc", "zero_diagonal"])
     def test_tol_one_percent_is_near_the_optimum(self, model, seed):
         x = generate_synthetic(SyntheticSpec(30, 4, 3, 50, 0.05, seed)).data
-        cfg = SolverConfig(model=model, tol=0.01, max_iters=5000)
+        zero_diagonal = model == "zero_diagonal"
+        cfg = SolverConfig(
+            model="ssrsc" if zero_diagonal else model, zero_diagonal=zero_diagonal, tol=0.01, max_iters=5000
+        )
         result = solve(x, cfg)
         assert result.converged
         z = result.coefficients
+        if zero_diagonal:
+            assert np.all(np.diag(z) == 0)
         certificate = {
             "nlsr": lambda: nonneg_certificate(x, z, cfg.lam),
             "slsr": lambda: hyperplane_certificate(x, z, cfg.lam, cfg.s),
             "ssrsc": lambda: simplex_certificate(x, z, cfg.lam, cfg.s),
+            "zero_diagonal": lambda: zero_diagonal_simplex_certificate(x, z, cfg.lam, cfg.s),
         }[model]()
         assert certificate <= 1e-3
+
+
+class TestResidualBalancing:
+    def test_the_rule(self):
+        balanced = solvers._balanced_rho
+        assert balanced(0.5, 2.0, 10.1, 1.0) == 1.0
+        assert balanced(1.5, 2.0, 10.1, 1.0) == 2.0  # capped
+        assert balanced(2.0, 2.0, 10.1, 1.0) == 2.0
+        assert balanced(0.5, 2.0, 1.0, 10.1) == 0.25
+        assert balanced(0.5, 2.0, 10.0, 1.0) == balanced(0.5, 2.0, 1.0, 10.0) == 0.5
+
+    @pytest.mark.parametrize("model, n", [("ssrsc", 40), ("ssrsc", 400), ("nlsr", 40), ("slsr", 40)])
+    def test_five_iteration_solves_never_balance(self, model, n, monkeypatch):
+        calls = []
+        balanced = solvers._balanced_rho
+        monkeypatch.setattr(solvers, "_balanced_rho", lambda *args: calls.append(args) or balanced(*args))
+        x = generate_synthetic(SyntheticSpec(40, 4, 4, n // 4, 0.01, seed=1)).data
+        for cfg in (SolverConfig(model=model), SolverConfig(model=model, tol=1e-300)):
+            assert solve(x, cfg).iterations_used == 5
+        assert calls == []
+        # One more iteration balances once, between the fifth and the sixth.
+        assert solve(x, SolverConfig(model=model, max_iters=6, tol=1e-300)).iterations_used == 6
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("zero_diagonal", [False, True], ids=["ssrsc", "zero-diagonal"])
+    def test_to_tolerance_takes_fewer_iterations(self, zero_diagonal):
+        # At the fixed rho 0.5 these solves took 577 and 307 iterations.
+        spec = SyntheticSpec(30, 4, 3, 50, 0.05, 1) if zero_diagonal else SyntheticSpec(40, 4, 4, 100, 0.01, 1)
+        x = generate_synthetic(spec).data
+        result = solve(x, SolverConfig(zero_diagonal=zero_diagonal, tol=0.01, max_iters=5000))
+        assert result.converged and result.iterations_used <= 200
 
 
 class TestBoundaryProperty:
@@ -485,12 +523,17 @@ class TestLowRankKernel:
             return kernels[-1]
 
         monkeypatch.setattr(solvers, "precompute_kernel", recording)
+        svd, svds = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: svds.append(1) or svd(*args, **kwargs))
         x = np.random.default_rng(54).standard_normal((4, 30))
         solve(x, SolverConfig(model=model, max_iters=20))
         (kernel,) = kernels
         r = min(x.shape)
-        assert set(vars(kernel)) == {"vt", "ridge"}
-        assert kernel.vt.shape == (r, 30) and kernel.ridge.shape == (r,)
+        # A change of rho takes the factors of the new shift from the squared
+        # singular values, with no second SVD.
+        assert len(svds) == 1
+        assert set(vars(kernel)) == {"vt", "ridge", "squared"}
+        assert kernel.vt.shape == (r, 30) and kernel.ridge.shape == kernel.squared.shape == (r,)
 
     @pytest.mark.parametrize("cores", [2, 8], ids=["2 cores", "8 cores"])
     def test_default_solve_threads_within_five_n_by_n_arrays(self, cores, monkeypatch, started_threads):
@@ -692,6 +735,30 @@ class TestCsrRoute:
         assert sparse.coefficients.nnz == n * n
         assert peak <= (3.5 * n * n + 8 * r * n) * 8
         dense = self.dense_route(monkeypatch, x, SolverConfig())
+        assert np.abs(sparse.coefficients.toarray() - dense.coefficients).max() <= 1e-12
+        np.testing.assert_allclose(sparse.residual_history, dense.residual_history, rtol=1e-9, atol=1e-12)
+
+    def test_full_support_rescales_in_place(self, monkeypatch):
+        # rho doubles after iterations 5 and 6 and then stays at its cap: the
+        # dense blocks of S^T are rescaled in place, within the same bound.
+        n = 4 * solvers.PROJECTION_BLOCK
+        x = np.tile(np.random.default_rng(63).standard_normal((5, 1)), (1, n))
+        r = min(x.shape)
+        cfg = SolverConfig(max_iters=8, tol=1e-300)
+        rhos = []
+        balanced = solvers._balanced_rho
+        monkeypatch.setattr(solvers, "_balanced_rho", lambda *args: rhos.append(balanced(*args)) or rhos[-1])
+        monkeypatch.setattr(solvers, "_block_threads", lambda n: 2)
+        tracemalloc.start()
+        try:
+            sparse = solve(x, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rhos == [1.0, 2.0, 2.0]
+        assert sparse.coefficients.nnz == n * n
+        assert peak <= (3.5 * n * n + 8 * r * n) * 8
+        dense = self.dense_route(monkeypatch, x, cfg)
         assert np.abs(sparse.coefficients.toarray() - dense.coefficients).max() <= 1e-12
         np.testing.assert_allclose(sparse.residual_history, dense.residual_history, rtol=1e-9, atol=1e-12)
 

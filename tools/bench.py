@@ -20,11 +20,15 @@ timed best of 5; k-means is timed inside the spectral stage by wrapping
 ``simplexsc.spectral.kmeans``, which the stage looks up at call time. The
 same solve timings go to ``BENCH_admm.json`` and ``BENCH_pipeline.json``.
 One more pipeline runs under tracemalloc for the peak allocation of the
-solve and of the spectral stage (each from a reset peak). Three more solves
-take the N=400 input to tolerance, the shapes of the ``solve-to-tol``
-workload's ssrsc, slsr and nlsr solves (tol 0.01, at most 5000 iterations,
-best of 3 each), under ``to_tolerance`` for ssrsc and
-``to_tolerance_<model>`` for the other two.
+solve and of the spectral stage (each from a reset peak). Four more solves
+to tolerance (tol 0.01, at most 5000 iterations, best of 5 each) are the
+``solve-to-tol`` workload's: ssrsc, slsr and nlsr on the N=400 input, under
+``to_tolerance`` for ssrsc and ``to_tolerance_<model>`` for the other two,
+and zero-diagonal ssrsc on the N=150 fixture (``SyntheticSpec(30, 4, 3, 50,
+0.05, seed=1)``), under ``to_tolerance_zero_diagonal``. Each records the
+certificate of its Z, from ``perfbench/checks.py``: the Frank-Wolfe gap
+over f(Z) for ssrsc, (f - f*)/f* for slsr and the projected-gradient
+residual for nlsr.
 
 k-means inputs: k unit-normalised Gaussian blobs in k dimensions (the shape
 of the row-normalised spectral embedding that kmeans receives), fixed seeds:
@@ -75,7 +79,7 @@ SIZES = (
 )
 REPEATS = 5
 TO_TOLERANCE = {"tol": 0.01, "max_iters": 5000}
-TOLERANCE_REPEATS = 3
+TOLERANCE_FIXTURE = (30, 4, 3, 50, 0.05, 1)  # SyntheticSpec of the zero-diagonal solve
 # (name, N, k, inputs per timing, seed of the first input)
 KMEANS_SHAPES = (("grid-cell", 150, 3, 12, 0), ("large", 3000, 5, 1, 100), ("ten-clusters", 600, 10, 3, 200))
 KMEANS_NOISE = 0.35
@@ -229,20 +233,36 @@ def main() -> None:
     finally:
         simplexsc.spectral.kmeans = kmeans
 
-    n, spec, _ = SIZES[0]
-    x = generate_synthetic(SyntheticSpec(*spec, 0.01, seed=1)).data
+    sys.path.append(str(ROOT))
+    from perfbench import checks
+
+    x = generate_synthetic(SyntheticSpec(*SIZES[0][1], 0.01, seed=1)).data
+    fixture = generate_synthetic(SyntheticSpec(*TOLERANCE_FIXTURE)).data
+    tolerance_solves = (
+        ("to_tolerance", x, {"model": "ssrsc"}),
+        ("to_tolerance_slsr", x, {"model": "slsr"}),
+        ("to_tolerance_nlsr", x, {"model": "nlsr"}),
+        ("to_tolerance_zero_diagonal", fixture, {"model": "ssrsc", "zero_diagonal": True}),
+    )
     to_tolerance = {}
-    for model in ("ssrsc", "slsr", "nlsr"):
-        tol_cfg = SolverConfig(model=model, **TO_TOLERANCE)
-        threads, result = with_helper_threads(lambda: solve(x, tol_cfg))
-        times = [seconds(lambda: solve(x, tol_cfg)) for _ in range(TOLERANCE_REPEATS)]
+    for key, points, settings in tolerance_solves:
+        tol_cfg = SolverConfig(**settings, **TO_TOLERANCE)
+        threads, result = with_helper_threads(lambda: solve(points, tol_cfg))
+        times = [seconds(lambda: solve(points, tol_cfg)) for _ in range(REPEATS)]
         best_s, median_s = best_and_median(times)
-        key = "to_tolerance" if model == "ssrsc" else f"to_tolerance_{model}"
+        z = result.coefficients
+        if tol_cfg.model == "ssrsc":
+            certificate = checks.simplex_gap(points, z, tol_cfg.lam, tol_cfg.s, tol_cfg.zero_diagonal)
+        elif tol_cfg.model == "slsr":
+            certificate = checks.hyperplane_suboptimality(points, z, tol_cfg.lam, tol_cfg.s)
+        else:
+            certificate = checks.nonneg_residual(points, z, tol_cfg.lam)
         to_tolerance[key] = {
-            "n": n,
-            "d": x.shape[0],
-            "solver": {"model": model, **TO_TOLERANCE},
+            "n": points.shape[1],
+            "d": points.shape[0],
+            "solver": {**settings, **TO_TOLERANCE},
             "iterations": result.iterations_used,
+            "certificate": certificate,
             "helper_threads": threads,
             "best_s": best_s,
             "median_s": median_s,
@@ -250,8 +270,9 @@ def main() -> None:
             "output_sha256": solve_digest(result),
         }
         print(
-            f"{args.label} {model} N={n} to tol {TO_TOLERANCE['tol']}: {result.iterations_used} iterations, "
-            f"best {best_s * 1e3:.0f} ms ({to_tolerance[key]['ms_per_iteration']:.2f} ms an iteration)"
+            f"{args.label} {key} N={points.shape[1]}: {result.iterations_used} iterations, "
+            f"certificate {certificate:.2g}, best {best_s * 1e3:.0f} ms "
+            f"({to_tolerance[key]['ms_per_iteration']:.2f} ms an iteration)"
         )
 
     shapes = {}
