@@ -373,8 +373,7 @@ def _lloyd_restarts(
     for _ in range(max_iters):
         # (active, k, N): one row of N distances per center.
         distances = _squared_distances(points, coordinates, centers[active])
-        assigned = distances.argmin(axis=1)  # ties go to the lowest center index
-        objective = distances.min(axis=1).sum(axis=1)
+        assigned, objective = _nearest(distances)
         del distances  # room for the center sums
         previous = objectives[active]
         finite = np.isfinite(previous)
@@ -398,6 +397,28 @@ def _lloyd_restarts(
         np.divide(sums.reshape(d, n_bins).T, counts[:, None], out=moved, where=counts[:, None] > 0)
         centers[active] = moved.reshape(active.size, k, d)
     return labels, objectives
+
+
+def _nearest(distances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's labels and objective from its k x N distances: argmin(axis=1) and min(axis=1).sum(axis=1).
+
+    A running comparison over the k center rows reads each in place, where
+    argmin copies the whole array into (R, N, k) order first. Strict < keeps
+    argmin's lowest center on ties. A NaN distance makes its run's objective
+    NaN, and such a run (or an overflowed one) takes argmin's labels, which
+    point at the first NaN.
+    """
+    closest = distances[:, 0].copy()
+    assigned = np.zeros(closest.shape, dtype=np.intp)
+    for j in range(1, distances.shape[1]):
+        row = distances[:, j]
+        assigned[row < closest] = j
+        np.minimum(closest, row, out=closest)
+    objective = closest.sum(axis=1)
+    unbounded = ~np.isfinite(objective)
+    if unbounded.any():
+        assigned[unbounded] = distances[unbounded].argmin(axis=1)
+    return assigned, objective
 
 
 def _squared_distances(points: np.ndarray, coordinates: np.ndarray, centers: np.ndarray) -> np.ndarray:

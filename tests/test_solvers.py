@@ -306,9 +306,9 @@ class TestResidualHistory:
 
 
 class TestOptimalityAtDefaultTolerance:
-    # The acceptance fixture's shape; with residual balancing the
-    # certificates read at most 2.2e-4 (nlsr), 8.2e-5 (slsr), 2.9e-5 (ssrsc)
-    # and 3.6e-4 (zero-diagonal ssrsc) on seeds 0-4.
+    # The acceptance fixture's shape; with residual balancing and
+    # over-relaxation the certificates read at most 1.5e-4 (nlsr), 7.6e-5
+    # (slsr), 2.9e-5 (ssrsc) and 3.8e-4 (zero-diagonal ssrsc) on seeds 0-4.
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("model", ["nlsr", "slsr", "ssrsc", "zero_diagonal"])
     def test_tol_one_percent_is_near_the_optimum(self, model, seed):
@@ -353,13 +353,63 @@ class TestResidualBalancing:
         assert solve(x, SolverConfig(model=model, max_iters=6, tol=1e-300)).iterations_used == 6
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("zero_diagonal", [False, True], ids=["ssrsc", "zero-diagonal"])
-    def test_to_tolerance_takes_fewer_iterations(self, zero_diagonal):
-        # At the fixed rho 0.5 these solves took 577 and 307 iterations.
+    @pytest.mark.parametrize(
+        "model, budget",
+        [("ssrsc", 120), ("zero_diagonal", 75), ("nlsr", 35), ("slsr", 17)],
+        ids=["ssrsc", "zero-diagonal", "nlsr", "slsr"],
+    )
+    def test_to_tolerance_takes_fewer_iterations(self, model, budget):
+        # At the fixed rho 0.5 the ssrsc and zero-diagonal solves took 577 and
+        # 307 iterations; balanced but not relaxed, these took 167, 94, 41 and 20.
+        zero_diagonal = model == "zero_diagonal"
         spec = SyntheticSpec(30, 4, 3, 50, 0.05, 1) if zero_diagonal else SyntheticSpec(40, 4, 4, 100, 0.01, 1)
         x = generate_synthetic(spec).data
-        result = solve(x, SolverConfig(zero_diagonal=zero_diagonal, tol=0.01, max_iters=5000))
-        assert result.converged and result.iterations_used <= 200
+        cfg = SolverConfig(
+            model="ssrsc" if zero_diagonal else model, zero_diagonal=zero_diagonal, tol=0.01, max_iters=5000
+        )
+        result = solve(x, cfg)
+        assert result.converged and result.iterations_used <= budget
+
+
+class TestRelaxation:
+    @pytest.mark.parametrize("model, n", [("ssrsc", 40), ("ssrsc", 400), ("nlsr", 40), ("slsr", 40)])
+    def test_five_iteration_solves_are_unrelaxed(self, model, n, monkeypatch):
+        x = generate_synthetic(SyntheticSpec(40, 4, 4, n // 4, 0.01, seed=1)).data
+        configs = [SolverConfig(model=model, max_iters=k, tol=1e-300) for k in (5, 6)]
+        relaxed = [solve(x, cfg) for cfg in configs]
+        monkeypatch.setattr(solvers, "RELAXATION", 1.0)
+        plain = [solve(x, cfg) for cfg in configs]
+        assert_same_coefficients(relaxed[0].coefficients, plain[0].coefficients)
+        assert relaxed[0].residual_history == plain[0].residual_history
+        # The sixth iteration is the first relaxed one.
+        assert relaxed[1].residual_history[:5] == plain[1].residual_history[:5]
+        assert relaxed[1].residual_history[5] != plain[1].residual_history[5]
+        assert frobenius_distance(np.asarray(relaxed[1].coefficients), np.asarray(plain[1].coefficients)) > 0
+
+    @pytest.mark.parametrize(
+        "model, shape",
+        [("ssrsc", (6, 40)), ("nlsr", (6, 40)), ("slsr", (6, 40)), ("ssrsc", (5, 257))],
+        ids=["ssrsc", "nlsr", "slsr", "ssrsc sparse N=257"],
+    )
+    def test_each_iterate_is_a_prefix_of_a_longer_solve(self, model, shape):
+        # max_iters = k stops at the k-th iterate of any longer solve, which
+        # the explicit-inverse ADMM, relaxed from its sixth step, reproduces.
+        x = np.random.default_rng(65).standard_normal(shape)
+        n = shape[1]
+        assert solvers._sparse_route(model, n) == (n > solvers.PROJECTION_BLOCK)
+        cfg = SolverConfig(model=model, max_iters=8, tol=1e-300)
+        long = solve(x, cfg).residual_history
+        previous = np.zeros((n, n))
+        for k in range(1, 9):
+            result = solve(x, SolverConfig(model=model, max_iters=k, tol=1e-300))
+            z = result.coefficients
+            assert result.residual_history == long[:k]
+            np.testing.assert_allclose(long[k - 1][2], frobenius_distance(z, previous), rtol=1e-12)
+            reference, _ = admm_with_inverse(
+                x, lambda shift: regularized_gram_inverse(x, shift, mode="direct"), model, cfg.lam, cfg.s, cfg.rho, k
+            )
+            assert np.abs(z - reference).max() <= 1e-9
+            previous = z
 
 
 class TestBoundaryProperty:

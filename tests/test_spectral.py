@@ -274,6 +274,26 @@ class TestKmeans:
         np.testing.assert_array_equal(labels, expected_labels)
         assert objective == expected_objective
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        runs=st.integers(1, 4),
+        k=st.integers(1, 6),
+        n=st.integers(1, 40),
+        special=st.sampled_from([None, np.nan, np.inf]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_center_is_argmin_and_min(self, seed, runs, k, n, special):
+        # Distances from three values tie often; a NaN or inf lands on some
+        # entries of some runs.
+        rng = np.random.default_rng(seed)
+        distances = rng.choice([0.0, 1.0, 2.5], size=(runs, k, n))
+        if special is not None:
+            distances[rng.random(distances.shape) < rng.choice([0.02, 0.3])] = special
+        labels, objective = spectral._nearest(distances.copy())
+        assert labels.dtype == np.intp
+        np.testing.assert_array_equal(labels, distances.argmin(axis=1))
+        assert np.array_equal(objective, distances.min(axis=1).sum(axis=1), equal_nan=True)
+
     def test_one_column_points_agree_with_the_reference_to_rounding(self):
         # numpy's mean sums a one-column member array pairwise, kmeans in
         # point order, so the centers and the objective may differ in the

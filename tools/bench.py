@@ -28,7 +28,9 @@ and zero-diagonal ssrsc on the N=150 fixture (``SyntheticSpec(30, 4, 3, 50,
 0.05, seed=1)``), under ``to_tolerance_zero_diagonal``. Each records the
 certificate of its Z, from ``perfbench/checks.py``: the Frank-Wolfe gap
 over f(Z) for ssrsc, (f - f*)/f* for slsr and the projected-gradient
-residual for nlsr.
+residual for nlsr. Its ``solver`` block also holds the module constants of
+``simplexsc.solvers`` that shape a long solve (``RELAXATION`` and the
+``BALANCE_*`` rule), null where the imported sources lack one.
 
 k-means inputs: k unit-normalised Gaussian blobs in k dimensions (the shape
 of the row-normalised spectral embedding that kmeans receives), fixed seeds:
@@ -80,6 +82,8 @@ SIZES = (
 REPEATS = 5
 TO_TOLERANCE = {"tol": 0.01, "max_iters": 5000}
 TOLERANCE_FIXTURE = (30, 4, 3, 50, 0.05, 1)  # SyntheticSpec of the zero-diagonal solve
+# simplexsc.solvers constants recorded with every solve to tolerance
+SOLVER_CONSTANTS = ("RELAXATION", "BALANCE_FROM", "BALANCE_RATIO", "BALANCE_STEP", "BALANCE_CAP")
 # (name, N, k, inputs per timing, seed of the first input)
 KMEANS_SHAPES = (("grid-cell", 150, 3, 12, 0), ("large", 3000, 5, 1, 100), ("ten-clusters", 600, 10, 3, 200))
 KMEANS_NOISE = 0.35
@@ -148,6 +152,7 @@ def main() -> None:
     parser.add_argument("--label", default="current", help="key of this run in the output files")
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
+    import simplexsc.solvers
     import simplexsc.spectral
     from simplexsc import SolverConfig, SpectralConfig, SyntheticSpec, generate_synthetic, pca_project
     from simplexsc import build_affinity, kmeans, solve, spectral_cluster
@@ -244,6 +249,7 @@ def main() -> None:
         ("to_tolerance_nlsr", x, {"model": "nlsr"}),
         ("to_tolerance_zero_diagonal", fixture, {"model": "ssrsc", "zero_diagonal": True}),
     )
+    constants = {name: getattr(simplexsc.solvers, name, None) for name in SOLVER_CONSTANTS}
     to_tolerance = {}
     for key, points, settings in tolerance_solves:
         tol_cfg = SolverConfig(**settings, **TO_TOLERANCE)
@@ -260,7 +266,7 @@ def main() -> None:
         to_tolerance[key] = {
             "n": points.shape[1],
             "d": points.shape[0],
-            "solver": {**settings, **TO_TOLERANCE},
+            "solver": {**settings, **TO_TOLERANCE, **constants},
             "iterations": result.iterations_used,
             "certificate": certificate,
             "helper_threads": threads,
