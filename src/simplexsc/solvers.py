@@ -13,7 +13,7 @@ The three constrained models run one ADMM core in scaled form (Boyd et al.
 dual ascent on U = Delta/rho. lam rides on the Z-step: it projects
 rho/(2*lam+rho) * (C - U), the exact prox of lam*||Z||_F^2 on each
 constraint set, so a model enters the core through its projection alone
-(one table): nlsr clips onto Z >= 0, slsr shifts onto the hyperplane and
+(one table, which also holds its certified jump, below): nlsr clips onto Z >= 0, slsr shifts onto the hyperplane and
 ssrsc projects onto the simplex; ssrsc with ``zero_diagonal`` first writes
 each column's diagonal entry more than s below the column's minimum, which
 the same simplex projection sends to exactly 0 without changing the other
@@ -79,6 +79,37 @@ O(nnz + threads * 256 * N) memory until then. Z and the residuals agree
 with the dense loop's to rounding: the order of the sums differs, and
 relaxed, the dense loop adds (alpha - 1) S by BLAS daxpy.
 
+ADMM is early-stopped by design (the paper's 5 iterations), but a solve
+to tolerance ends at an optimum that an active set can find exactly
+(OSQP's solution polishing, Stellato et al. 2020). So after iteration 5 of
+a solve that has not converged and may go on, ssrsc and slsr try one
+certified jump (their ``jump`` in the model table), and if it is not
+certified, again after iterations 10, 20, 40, ... (``_attempts_after``).
+ssrsc's attempt (``_simplex_optimum``) is a batched primal active set per
+256-column block, from Z's supports, on G = B^T B with B = diag(s) V^T
+(no second SVD, no N x N Gram matrix); a block whose widest support would
+need systems wider than sqrt(2N) (k x k, or r x r when r < k) skips it,
+which keeps them within about one block scratch. It is certified when
+every column's entries are positive and no outsider's half-gradient lies
+below the column's multiplier, up to a rounding slack (the Frank-Wolfe
+gap, Jaggi 2013, is then at rounding level). slsr's optimum has a closed
+form, L + a nu^T from the ridge at shift lam (``_hyperplane_jump``), and is
+always certified. nlsr has no jump: its Z is 55-59% nonzero. A certified
+jump puts the loop at the exact ADMM fixed point of the optimum Z*:
+Z^T = Z*^T, S^T empty, R = 0, P = V^T Z* and M = (2/rho) diag(s^2)
+(P - V^T), that is U* = (2/rho) X^T X (Z* - I), with which the C-step
+returns C = Z* and the Z-step projects Z* - 2/(2 lam + rho) (X^T X Z* -
+X^T X + lam Z*) back onto Z*. The next iterations then reproduce Z* as a
+Z-step output, so Z stays exactly feasible, and the standard rule stops
+the solve: converged still means all three residuals <= tol. Their rows
+measure real changes: the first row after the jump compares C_k+1 and
+Z_k+1 with the C_k and Z_k of before it (so the blocks of iteration k keep
+their dense part of Z_k - C_k, and the loop keeps Z_k's rows until then). To
+tol 0.01, ssrsc at N=400 and the zero-diagonal fixture (N=150) took 106
+and 67 iterations and now take 7, slsr 15 and now 7, with Frank-Wolfe gaps
+at rounding level. A solve of at most 5 iterations never tries a jump and
+keeps every bit.
+
 Solves run on one BLAS thread (see ``blas``), so their bits do not depend on
 the BLAS thread count. A solve of 4 blocks or more spreads its block tasks
 over helper threads (``_block_threads``); a task computes the same bits on
@@ -90,8 +121,10 @@ from __future__ import annotations
 
 import os
 import threading
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -100,7 +133,7 @@ from scipy.linalg.blas import daxpy
 from . import spectral
 from .blas import single_blas_thread
 from .core import ConfigError, DivergenceError, NumericError, SolverConfig, as_data_matrix
-from .projections import project_columns_scaled_affine, project_columns_scaled_simplex, project_nonneg
+from .projections import EPS, project_columns_scaled_affine, project_columns_scaled_simplex, project_nonneg
 
 GRAM_INVERSE_MODES = ("direct", "woodbury", "auto")
 # Rows of Z^T that the ADMM loop updates and projects together: this width
@@ -119,6 +152,11 @@ BALANCE_CAP = 4.0
 # BALANCE_FROM + 1 on: the Z-step and the dual step take
 # RELAXATION * C + (1 - RELAXATION) * Z_k for the C-step's C.
 RELAXATION = 1.6
+# A certified jump to the exact optimum (see the module docstring) is tried
+# after iterations BALANCE_FROM, 2 * BALANCE_FROM, 4 * BALANCE_FROM, ...
+# until one lands, ssrsc's with at most POLISH_ROUNDS gradient passes.
+POLISH_ROUNDS = 4
+
 
 @dataclass(frozen=True)
 class PrecomputedKernel:
@@ -271,18 +309,33 @@ def _squares(dz: np.ndarray, gap: np.ndarray, s_new: np.ndarray) -> list:
     return squares
 
 
-# Per constrained model, its Z-step: it projects Z's columns start,
-# start + 1, ... of v in place, ssrsc with the block-sized scratch and, from
-# the sparse loop's second iteration on, the previous supports, with which it
-# returns the positive entries instead. It names this module's globals,
-# looked up at call time, so that a tracer can swap them.
+# Per constrained model, its Z-step and its certified jump. The Z-step
+# projects Z's columns start, start + 1, ... of v in place, ssrsc with the
+# block-sized scratch and, from the sparse loop's second iteration on, the
+# previous supports, with which it returns the positive entries instead. The
+# jump (see _solve_admm) takes the kernel, cfg, the loop's row blocks of Z^T,
+# its block runner and the blocks, and returns a function that writes a row
+# block of the optimum's Z*^T into an array, or None if it could not certify
+# one; nlsr has none. Both name this module's globals, looked up at call
+# time, so that a tracer can swap them.
+class _Model(NamedTuple):
+    project: Callable
+    jump: Callable | None
+
+
 _ADMM_MODELS = {
-    "nlsr": lambda v, cfg, start, scratch: project_nonneg(v, out=v),
-    "slsr": lambda v, cfg, start, scratch: project_columns_scaled_affine(v, cfg.s, out=v),
-    "ssrsc": lambda v, cfg, start, scratch, support=None: (
-        _project_off_diagonal(v, cfg.s, start, out=v, scratch=scratch, support=support)
-        if cfg.zero_diagonal
-        else project_columns_scaled_simplex(v, cfg.s, out=v, scratch=scratch, support=support)
+    "nlsr": _Model(lambda v, cfg, start, scratch: project_nonneg(v, out=v), None),
+    "slsr": _Model(
+        lambda v, cfg, start, scratch: project_columns_scaled_affine(v, cfg.s, out=v),
+        lambda *args: _hyperplane_jump(*args),
+    ),
+    "ssrsc": _Model(
+        lambda v, cfg, start, scratch, support=None: (
+            _project_off_diagonal(v, cfg.s, start, out=v, scratch=scratch, support=support)
+            if cfg.zero_diagonal
+            else project_columns_scaled_simplex(v, cfg.s, out=v, scratch=scratch, support=support)
+        ),
+        lambda *args: _simplex_jump(*args),
     ),
 }
 
@@ -475,12 +528,214 @@ def _assembled(blocks: list, n: int, sparse: bool):
     return zt.T if sparse else zt.toarray().T
 
 
+def _attempts_after(k: int) -> bool:
+    """Whether a jump is tried after iteration k: k = BALANCE_FROM * 2^j."""
+    q, rest = divmod(k, BALANCE_FROM)
+    return q > 0 and rest == 0 and q & (q - 1) == 0
+
+
+def _ridge_solves(gathered: np.ndarray, target: np.ndarray, mask: np.ndarray, lam: float):
+    """x = H^-1 B_A^T b and y = H^-1 1 per column, H = B_A^T B_A + lam*I.
+
+    ``gathered`` holds each column's rows of B^T at its support (zero rows
+    after it), ``target`` its b_j and ``mask`` its 1. A support of k entries
+    takes the k x k system; one wider than r = B's rows takes the r x r system
+    K = lam*I + B_A B_A^T: x = B_A^T K^-1 b and y = (1 - B_A^T K^-1 B_A 1)/lam.
+    The zero rows give x = y = 0 after the support.
+    """
+    k, r = gathered.shape[1:]
+    if k <= r:
+        h = gathered @ gathered.transpose(0, 2, 1)
+        h[:, range(k), range(k)] += lam
+        rhs = np.stack([(gathered @ target[:, :, None])[:, :, 0], mask], axis=-1)
+        solved = np.linalg.solve(h, rhs)
+        return solved[:, :, 0], solved[:, :, 1]
+    system = gathered.transpose(0, 2, 1) @ gathered
+    system[:, range(r), range(r)] += lam
+    rhs = np.stack([target, (mask[:, None, :] @ gathered)[:, 0]], axis=-1)
+    back = gathered @ np.linalg.solve(system, rhs)
+    return back[:, :, 0], (mask - back[:, :, 1]) / lam
+
+
+def _restricted_optima(
+    bt: np.ndarray, owner: np.ndarray, index: np.ndarray, columns: np.ndarray, cfg: SolverConfig, room: np.ndarray
+):
+    """Some columns' optima with their supports fixed; None if a system would be wider than sqrt(2N).
+
+    Column j = columns[c] minimizes ||b_j - B z||^2 + lam ||z||^2 over z
+    with sum s on its support, the entries ``index`` whose ``owner`` is c
+    (sorted by owner), where B^T is bt without its last row, a row of zeros
+    that pads the gathered supports: z = x + mu y (see _ridge_solves),
+    with mu = (s - 1^T x)/(1^T y) the multiplier, so the half-gradient
+    B^T (B z - b_j) + lam z is mu on the support. Returns z in entry order,
+    mu and the residuals B z - b_j (one row per column); None also for a
+    column with no entry or a non-finite result. Columns are gathered in
+    chunks into ``room``, a flat float64 buffer (an idle scratch block).
+    """
+    n, r = bt.shape[0] - 1, bt.shape[1]
+    count = columns.size
+    sizes = np.bincount(owner, minlength=count)
+    k = int(sizes.max())
+    if min(k, r) ** 2 > 2 * n or sizes.min() == 0:
+        return None
+    first = np.concatenate([[0], np.cumsum(sizes)])
+    slot = np.arange(owner.size) - first[owner]
+    rows = np.full((count, k), n)
+    rows[owner, slot] = index
+    values, mu, residual = np.empty(owner.size), np.empty(count), np.empty((count, r))
+    step = max(1, room.size // (k * r))
+    for lo in range(0, count, step):
+        hi = min(lo + step, count)
+        part = slice(first[lo], first[hi])
+        at = (owner[part] - lo, slot[part])
+        gathered = room[: (hi - lo) * k * r].reshape(hi - lo, k, r)
+        np.take(bt, rows[lo:hi], axis=0, out=gathered, mode="clip")  # "clip" writes out unbuffered
+        mask = (rows[lo:hi] < n).astype(np.float64)
+        target = bt[columns[lo:hi]]
+        x, y = _ridge_solves(gathered, target, mask, cfg.lam)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mu[lo:hi] = (cfg.s - x.sum(axis=1)) / y.sum(axis=1)
+            x += mu[lo:hi, None] * y
+        values[part] = x[at]
+        residual[lo:hi] = (x[:, None, :] @ gathered)[:, 0] - target
+    if not np.all(np.isfinite(values)):
+        return None
+    return values, mu, residual
+
+
+def _simplex_optimum(b: np.ndarray, bt: np.ndarray, cfg: SolverConfig, entries, start: int, scratch: np.ndarray):
+    """The certified optimum of columns start, start + 1, ... of ssrsc's Z, as entries, or None.
+
+    A primal active set (Lawson and Hanson's, per column, batched) from
+    ``entries``, a feasible iterate's sorted flat positions in the block's
+    Z^T rows and its values. On the columns not yet certified it solves on
+    the supports; while a column's solution has a nonpositive entry, it
+    moves from the column's feasible point towards that solution until an
+    entry reaches 0, drops it and solves again. Then one GEMM pass gives
+    their half-gradients B^T (B z_j - b_j), which no outsider i (i != j with
+    ``zero_diagonal``) may take below its column's multiplier mu_j; the
+    outsiders that do join the supports, at 0, for the next round.
+    Certified means positive entries and no such outsider, up to a rounding
+    slack bounded as projections._slack bounds its own: 2 (r + k + 4) eps
+    times the sums' magnitudes, beta (||B z_j - b_j|| + beta s + ||b_j||) +
+    lam s + |mu_j| with beta the largest column norm of B. Gives up after
+    POLISH_ROUNDS passes, or when a system would be wider than sqrt(2N).
+    """
+    r, n = b.shape
+    count = scratch.shape[1]
+    norms = np.sqrt(np.einsum("ij,ij->i", bt, bt))
+    beta = norms.max()
+    support, values = np.asarray(entries[0], dtype=np.intp), entries[1].copy()
+    pending = np.arange(count)  # the columns not yet certified
+    rank = np.empty(count, dtype=np.intp)
+
+    def ranked() -> tuple:
+        """The entries of the ranked columns: their places in support, the columns' ranks and the rows."""
+        owner = support // n
+        chosen = np.flatnonzero(rank[owner] >= 0)
+        return chosen, rank[owner[chosen]], support[chosen] - owner[chosen] * n
+
+    for done in range(POLISH_ROUNDS):
+        mu, residual = np.empty(pending.size), np.empty((pending.size, r))
+        unsettled = np.arange(pending.size)  # places in pending of the columns still solving
+        while unsettled.size:
+            rank.fill(-1)
+            rank[pending[unsettled]] = np.arange(unsettled.size)
+            chosen, column, index = ranked()
+            solved = _restricted_optima(bt, column, index, start + pending[unsettled], cfg, scratch[1].reshape(-1))
+            if solved is None:
+                return None
+            found, mu[unsettled], residual[unsettled] = solved
+            blocked = found <= 0
+            moved = found
+            if done and blocked.any():
+                # From the feasible values towards found, to the step t in
+                # [0, 1] at which a column's first entry reaches 0.
+                feasible = values[chosen]
+                ratios = np.full(found.size, np.inf)
+                ratios[blocked] = feasible[blocked] / (feasible[blocked] - found[blocked])
+                step = np.minimum.reduceat(ratios, np.flatnonzero(np.diff(column, prepend=-1)))
+                step = np.minimum(step, 1.0)[column]
+                moved = np.maximum(feasible + step * (found - feasible), 0.0)
+                blocked = ratios <= step
+            again = np.bincount(column[blocked], minlength=unsettled.size) > 0
+            values[chosen] = np.where(again[column], moved, found)
+            keep = np.ones(support.size, dtype=bool)
+            keep[chosen[blocked]] = False
+            support, values = support[keep], values[keep]
+            unsettled = unsettled[again]
+        rank.fill(-1)
+        rank[pending] = np.arange(pending.size)
+        chosen, column, index = ranked()
+        gradient = np.matmul(residual, b, out=scratch[0, : pending.size])
+        gradient[column, index] = np.inf
+        if cfg.zero_diagonal:
+            gradient[np.arange(pending.size), start + pending] = np.inf
+        sizes = np.bincount(column, minlength=pending.size)
+        magnitude = beta * (np.linalg.norm(residual, axis=1) + beta * cfg.s + norms[start + pending])
+        slack = 2.0 * (r + sizes + 4) * EPS * (magnitude + cfg.lam * cfg.s + np.abs(mu))
+        row, below = np.nonzero(gradient < (mu - slack)[:, None])
+        if not row.size:
+            return support.astype(np.int32), values
+        merged = _union(support, pending[row] * n + below)
+        values, values[np.searchsorted(merged, support)] = np.zeros(merged.size), values
+        support, pending = merged, np.unique(pending[row])
+    return None
+
+
+def _simplex_jump(kernel: PrecomputedKernel, cfg: SolverConfig, zt_blocks: list, run, blocks: list):
+    """ssrsc's certified optimum: writes its rows of Z*^T into a block, or None if a block is not certified."""
+    b = np.sqrt(kernel.squared)[:, None] * kernel.vt
+    bt = np.zeros((b.shape[1] + 1, b.shape[0]))  # B^T and a row of zeros for _restricted_optima
+    bt[:-1] = b.T
+
+    def attempt(rows: slice, scratch: np.ndarray):
+        block = zt_blocks[rows.start // PROJECTION_BLOCK]
+        if isinstance(block, np.ndarray):
+            support = np.flatnonzero(block)
+            block = (support, block.reshape(-1)[support])
+        return _simplex_optimum(b, bt, cfg, block, rows.start, scratch[:, : rows.stop - rows.start])
+
+    optima = run(attempt, blocks)
+    if any(entries is None for entries in optima):
+        return None
+
+    def write(v: np.ndarray, rows: slice) -> None:
+        positions, values = optima[rows.start // PROJECTION_BLOCK]
+        v.fill(0.0)
+        v.reshape(-1)[positions] = values
+
+    return write
+
+
+def _hyperplane_jump(kernel: PrecomputedKernel, cfg: SolverConfig, zt_blocks: list, run, blocks: list):
+    """slsr's closed-form optimum Z* = L + a nu^T (always certified): writes its rows of Z*^T into a block.
+
+    With A = X^T X + lam*I and ridge the factors at shift lam: L =
+    V diag(ridge) V^T (lsr's solution), a = A^-1 1 =
+    (1 - V V^T 1)/lam + V diag(1/(s^2 + lam)) V^T 1 and
+    nu = (s - 1^T L)/(1^T a).
+    """
+    vt, lam = kernel.vt, cfg.lam
+    ridge = kernel.with_shift(lam).ridge
+    ones = vt.sum(axis=1)
+    a = (1.0 - vt.T @ ones) / lam + vt.T @ (ones / (kernel.squared + lam))
+    nu = (cfg.s - vt.T @ (ridge * ones)) / a.sum()
+    left = np.column_stack([vt.T * ridge, nu])  # Z*^T = L + nu a^T, L symmetric
+    right = np.vstack([vt, a])
+
+    def write(v: np.ndarray, rows: slice) -> None:
+        np.matmul(left[rows], right, out=v)
+
+    return write
+
+
 def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
     """ADMM for a constrained model in scaled form on Z^T, S^T and r x N factors.
 
-    All iterates start at zero (see the module docstring for the algebra).
-    Stops when the three residuals are simultaneously <= tol, or after
-    max_iters iterations. Returns Z, the iterate that satisfies the model's
+    All iterates start at zero (see the module docstring for the algebra
+    and the certified jump). Stops when the three residuals are
+    simultaneously <= tol, or after max_iters iterations. Returns Z, the iterate that satisfies the model's
     constraints exactly, as the transpose of the C-ordered Z^T. Raises
     DivergenceError when an iterate turns non-finite.
     """
@@ -490,7 +745,7 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
     n = x.shape[1]
     if cfg.zero_diagonal and n < 2:
         raise ConfigError("zero_diagonal needs at least 2 points to keep columns feasible")
-    project = _ADMM_MODELS[model]
+    project, jump = _ADMM_MODELS[model]
     rho = cfg.rho
     scale = rho / (2.0 * cfg.lam + rho)
     blocks = [slice(start, min(start + PROJECTION_BLOCK, n)) for start in range(0, n, PROJECTION_BLOCK)]
@@ -513,9 +768,40 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
         c_change = float(np.linalg.norm(kernel.ridge))
         history: list[tuple[float, float, float]] = []
         converged = False
+        # Z_k's row blocks from before a jump, until the next row measures
+        # ||Z_k+1 - Z_k|| against them.
+        previous = None
         # Each block task reuses a (2, block, N) scratch: fresh pages for
         # every block cost more than the arithmetic at N = 400.
         with _block_runner(_block_threads(n), (2, min(n, PROJECTION_BLOCK), n)) as run:
+
+            def land(rows: slice, scratch: np.ndarray) -> float:
+                """Put Z*'s rows in Z^T and zeros in S^T, and the old rows in previous; ||Z* - Z_k + gap||^2."""
+                block = rows.start // PROJECTION_BLOCK
+                v, spare = scratch[:, : rows.stop - rows.start]
+                write(v, rows)
+                p_star[:, rows] = vt @ v.T
+                old = zt[block] if sparse else zt[rows]
+                np.copyto(spare, v)
+                _apply(np.subtract, spare.reshape(-1), old)
+                _apply(np.add, spare.reshape(-1), gaps[block])
+                gaps[block] = None
+                if sparse:
+                    zt[block], st[block] = _kept(v, None), NO_ENTRIES
+                else:
+                    old, zt[rows], st[rows] = old.copy(), v, 0.0
+                previous[block] = old
+                return np.vdot(spare, spare)
+
+            def moved(rows: slice, scratch: np.ndarray) -> float:
+                """||Z_k+1 - Z_k||^2 on one row block, Z_k from before the jump."""
+                block = rows.start // PROJECTION_BLOCK
+                v = scratch[0, : rows.stop - rows.start]
+                v.fill(0.0)
+                _apply(np.add, v.reshape(-1), zt[block] if sparse else zt[rows])
+                _apply(np.subtract, v.reshape(-1), previous[block])
+                return np.vdot(v, v)
+
             for _ in range(cfg.max_iters):
                 w = _c_step_factor(kernel, p + r + m)
                 # alpha - 1: 0 for the first BALANCE_FROM iterations, which
@@ -524,6 +810,9 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 # V's coefficients in C_hat - U: W, or (alpha - 1) M + alpha W.
                 w_hat = excess * m + (1.0 + excess) * w if excess else w
                 p_next = np.empty_like(vt)
+                # Before a jump the blocks keep their dense part of Z_k - C_k.
+                k = len(history) + 1
+                gaps = [None] * len(blocks) if jump and _attempts_after(k) and k < cfg.max_iters else None
 
                 def update(rows: slice, scratch: np.ndarray) -> list:
                     """Z-step and dual step on one row block; its squared norms and columns of P."""
@@ -542,6 +831,8 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                     dz = np.subtract(z_next, zt[rows], out=spare)
                     zt[rows] = z_next  # v is free from here
                     gap = np.subtract(dz, st[rows], out=v)
+                    if gaps is not None:
+                        gaps[rows.start // PROJECTION_BLOCK] = _kept(gap, None)
                     s_next = st[rows]
                     if excess:  # S_new = dZ - (alpha - 1) S, in place
                         s_next *= -excess
@@ -596,7 +887,11 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                         dz = flat[at]  # Z_new - Z_old at the union
                         s_at = _at(flat, at, s_old)
                         s_next = dz - excess * s_at if excess else dz
-                        squares = _squares(dz, dz - s_at, s_next)
+                        gap = dz - s_at
+                        if gaps is not None:
+                            nonzero = gap != 0
+                            gaps[block] = (union[nonzero], gap[nonzero])
+                        squares = _squares(dz, gap, s_next)
                         stored = s_next != 0
                         zt[block], st[block] = z_new, (union[stored], s_next[stored])
                     else:
@@ -617,6 +912,8 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                         else:
                             gap = dz.copy()
                             _apply(np.subtract, gap.reshape(-1), s_old)
+                        if gaps is not None:
+                            gaps[block] = _kept(gap, None)
                         squares = _squares(dz, gap, s_next)
                         st[block] = _kept(s_next, gap)
                     p_next[:, rows] = _times(zt[block], v_rows, rows.stop - rows.start).T
@@ -635,12 +932,17 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 # the check raises on (c_change in the next row).
                 with np.errstate(invalid="ignore", over="ignore"):
                     row = (_split_norm(gap_sq, dr, dr - (m + w)), c_change, float(np.sqrt(dz_sq)))
+                if previous is not None:  # after a jump, Z_k+1 - Z_k against the Z_k before it
+                    row = (*row[:2], float(np.sqrt(sum(run(moved, blocks)))))
+                    previous = None
                 if not np.all(np.isfinite(row)):
                     raise DivergenceError("ADMM iterates became non-finite")
                 history.append(row)
                 converged = max(row) <= cfg.tol
                 if converged:
                     break
+                if gaps is not None:  # C_k = Z_k - gap + V(M + W), gap the blocks' dZ - S
+                    before = (dr.copy(), m + w)
                 if excess:
                     dr -= excess * r
                 rho_next, f = rho, 1.0
@@ -677,6 +979,24 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 if f != 1.0:
                     r *= f
                     m *= f
+                if gaps is not None:
+                    write = jump(kernel, cfg, zt if sparse else [zt[rows] for rows in blocks], run, blocks)
+                    if write is not None:
+                        p_star, previous = np.empty_like(vt), [None] * len(blocks)
+                        d_sq = sum(run(land, blocks))
+                        gaps = write = None
+                        # The fixed point of the next iteration: U* = (2/rho) X^T X (Z* - I), all in V.
+                        m_star = (2.0 / rho) * kernel.squared[:, None] * (p_star - vt)
+                        # C_k+1 - C_k = (Z* - Z_k + gap) + V(M* + W* - M - W), C_k+1 the next C-step's.
+                        vtd = p_star - p
+                        vtd += before[0]
+                        inside = _c_step_factor(kernel, p_star + m_star)
+                        inside += m_star - before[1] + vtd
+                        c_change = _split_norm(d_sq, vtd, inside)
+                        p, m = p_star, m_star
+                        r.fill(0.0)
+                        jump = None  # landed: no further attempt
+                    gaps = before = write = vtd = inside = None
         if sparse:
             st.clear()  # room for assembling Z
             z = _assembled(zt, n, n >= spectral.SPARSE_EIGEN_MIN_N)

@@ -60,6 +60,13 @@ def started_threads(monkeypatch):
     return started
 
 
+@pytest.fixture
+def plain_admm(monkeypatch):
+    """ADMM without the certified jump: every model's jump entry swapped out."""
+    for model, entry in solvers._ADMM_MODELS.items():
+        monkeypatch.setitem(solvers._ADMM_MODELS, model, entry._replace(jump=None))
+
+
 def tight_cfg(model, **kwargs):
     return SolverConfig(model=model, **{**TIGHT, **kwargs})
 
@@ -286,7 +293,7 @@ class TestResidualHistory:
     # all rounding) and N = 257 (two blocks of rows, the second of one row).
     @pytest.mark.parametrize("shape", [(6, 40), (12, 9), (5, 257)], ids=["D < N", "D >= N", "N = 257"])
     @pytest.mark.parametrize("model", ["ssrsc", "nlsr", "slsr"])
-    def test_matches_the_dense_norms_of_explicit_admm(self, model, shape):
+    def test_matches_the_dense_norms_of_explicit_admm(self, model, shape, plain_admm):
         x = np.random.default_rng(59).standard_normal(shape)
         cfg = SolverConfig(model=model, max_iters=300, tol=1e-300)
         result = solve(x, cfg)
@@ -373,7 +380,7 @@ class TestResidualBalancing:
 
 class TestRelaxation:
     @pytest.mark.parametrize("model, n", [("ssrsc", 40), ("ssrsc", 400), ("nlsr", 40), ("slsr", 40)])
-    def test_five_iteration_solves_are_unrelaxed(self, model, n, monkeypatch):
+    def test_five_iteration_solves_are_unrelaxed(self, model, n, monkeypatch, plain_admm):
         x = generate_synthetic(SyntheticSpec(40, 4, 4, n // 4, 0.01, seed=1)).data
         configs = [SolverConfig(model=model, max_iters=k, tol=1e-300) for k in (5, 6)]
         relaxed = [solve(x, cfg) for cfg in configs]
@@ -391,7 +398,7 @@ class TestRelaxation:
         [("ssrsc", (6, 40)), ("nlsr", (6, 40)), ("slsr", (6, 40)), ("ssrsc", (5, 257))],
         ids=["ssrsc", "nlsr", "slsr", "ssrsc sparse N=257"],
     )
-    def test_each_iterate_is_a_prefix_of_a_longer_solve(self, model, shape):
+    def test_each_iterate_is_a_prefix_of_a_longer_solve(self, model, shape, plain_admm):
         # max_iters = k stops at the k-th iterate of any longer solve, which
         # the explicit-inverse ADMM, relaxed from its sixth step, reproduces.
         x = np.random.default_rng(65).standard_normal(shape)
@@ -629,16 +636,16 @@ class TestLowRankKernel:
     @pytest.mark.parametrize("where", ["column", "diagonal"])
     def test_non_finite_c_step_raises_divergence_error(self, model, zero_diagonal, where, monkeypatch):
         # An infinite C-step output shows in the Z-step input, scale * (C - U).
-        project = solvers._ADMM_MODELS[model]
+        entry = solvers._ADMM_MODELS[model]
 
         def overflowing(v, cfg, start, scratch):
             if where == "column":
                 v[:, 2] = np.inf
             else:  # the entry the zero-diagonal projection leaves out
                 v[2, 2] = np.inf
-            return project(v, cfg, start, scratch)
+            return entry.project(v, cfg, start, scratch)
 
-        monkeypatch.setitem(solvers._ADMM_MODELS, model, overflowing)
+        monkeypatch.setitem(solvers._ADMM_MODELS, model, entry._replace(project=overflowing))
         x = np.random.default_rng(58).standard_normal((4, 10))
         cfg = SolverConfig(model=model, zero_diagonal=zero_diagonal, max_iters=1)
         with pytest.raises(DivergenceError):
@@ -717,16 +724,16 @@ class TestBlockThreads:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_on_a_helper_raises_divergence_error(self, points, bad, two_cores, monkeypatch):
-        project = solvers._ADMM_MODELS["ssrsc"]
+        entry = solvers._ADMM_MODELS["ssrsc"]
         helpers = []
 
         def overflowing(v, cfg, start, scratch, *top_m):
             if start == 2 * solvers.PROJECTION_BLOCK:
                 helpers.append(threading.current_thread() is not threading.main_thread())
                 v[5, 7] = bad
-            return project(v, cfg, start, scratch, *top_m)
+            return entry.project(v, cfg, start, scratch, *top_m)
 
-        monkeypatch.setitem(solvers._ADMM_MODELS, "ssrsc", overflowing)
+        monkeypatch.setitem(solvers._ADMM_MODELS, "ssrsc", entry._replace(project=overflowing))
         before = threading.active_count()
         with pytest.raises(DivergenceError):
             solve(points, SolverConfig(max_iters=3))
@@ -754,7 +761,7 @@ class TestCsrRoute:
 
     @pytest.mark.parametrize("zero_diagonal", [False, True], ids=["ssrsc", "zero-diagonal"])
     @pytest.mark.parametrize("per_subspace", [256, 300], ids=["N=1024", "N=1200"])
-    def test_matches_the_dense_route_to_tolerance(self, per_subspace, zero_diagonal, monkeypatch):
+    def test_matches_the_dense_route_to_tolerance(self, per_subspace, zero_diagonal, monkeypatch, plain_admm):
         # lam 1 and rho 10 reach tol 1e-2 in 70-82 iterations here.
         x = generate_synthetic(SyntheticSpec(40, 4, 4, per_subspace, 0.01, seed=2)).data
         cfg = SolverConfig(zero_diagonal=zero_diagonal, lam=1.0, rho=10.0, max_iters=400, tol=1e-2)
@@ -788,7 +795,7 @@ class TestCsrRoute:
         assert np.abs(sparse.coefficients.toarray() - dense.coefficients).max() <= 1e-12
         np.testing.assert_allclose(sparse.residual_history, dense.residual_history, rtol=1e-9, atol=1e-12)
 
-    def test_full_support_rescales_in_place(self, monkeypatch):
+    def test_full_support_rescales_in_place(self, monkeypatch, plain_admm):
         # rho doubles after iterations 5 and 6 and then stays at its cap: the
         # dense blocks of S^T are rescaled in place, within the same bound.
         n = 4 * solvers.PROJECTION_BLOCK
@@ -813,7 +820,7 @@ class TestCsrRoute:
         np.testing.assert_allclose(sparse.residual_history, dense.residual_history, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("zero_diagonal", [False, True], ids=["ssrsc", "zero-diagonal"])
-    def test_two_blocks_take_the_sparse_step_and_return_an_array(self, zero_diagonal, monkeypatch):
+    def test_two_blocks_take_the_sparse_step_and_return_an_array(self, zero_diagonal, monkeypatch, plain_admm):
         x = generate_synthetic(SyntheticSpec(40, 4, 4, 100, 0.01, seed=3)).data
         n = x.shape[1]
         assert not solvers._sparse_route("ssrsc", solvers.PROJECTION_BLOCK)
@@ -877,3 +884,220 @@ class TestZeroDiagonalStep:
         np.fill_diagonal(off_diagonal, np.inf)
         gap = np.sum(gradient * z) - cfg.s * off_diagonal.min(axis=0).sum()
         assert gap <= 1e-3 * objective
+
+
+@pytest.fixture
+def jump_calls(monkeypatch):
+    """Each jump attempt's result (certified or not), for ssrsc and slsr."""
+    calls = []
+    for model in ("ssrsc", "slsr"):
+        entry = solvers._ADMM_MODELS[model]
+
+        def recording(*args, entry=entry):
+            write = entry.jump(*args)
+            calls.append(write is not None)
+            return write
+
+        monkeypatch.setitem(solvers._ADMM_MODELS, model, entry._replace(jump=recording))
+    return calls
+
+
+def dense(z):
+    return z.toarray() if scipy.sparse.issparse(z) else np.asarray(z)
+
+
+TOLERANCE_INPUTS = {
+    # solve-to-tol's inputs: ssrsc and slsr at N=400 (two row blocks, so ssrsc
+    # takes the sparse route) and zero-diagonal ssrsc on the N=150 fixture.
+    "ssrsc N=400": (SyntheticSpec(40, 4, 4, 100, 0.01, 1), {}),
+    "zero-diagonal N=150": (SyntheticSpec(30, 4, 3, 50, 0.05, 1), {"zero_diagonal": True}),
+    "slsr N=400": (SyntheticSpec(40, 4, 4, 100, 0.01, 1), {"model": "slsr"}),
+}
+
+
+class TestCertifiedJump:
+    """After iteration 5, 10, 20, ... ssrsc and slsr jump to the exact ADMM fixed point of their optimum."""
+
+    @pytest.mark.parametrize("name", sorted(TOLERANCE_INPUTS))
+    def test_to_tolerance_solves_land_on_the_optimum(self, name, jump_calls):
+        spec, settings = TOLERANCE_INPUTS[name]
+        x = generate_synthetic(spec).data
+        cfg = SolverConfig(**settings, tol=0.01, max_iters=5000)
+        assert solvers._sparse_route(cfg.model, x.shape[1]) == (name == "ssrsc N=400")
+        result = solve(x, cfg)
+        z = dense(result.coefficients)
+        # One certified attempt after the fifth iteration; the sixth moves Z
+        # from Z_5 to Z*, and the seventh stays there.
+        assert jump_calls == [True]
+        assert result.converged and result.iterations_used == 7
+        assert max(result.residual_history[-1]) <= cfg.tol
+        assert result.residual_history[5][2] > cfg.tol
+        certificate = {
+            "ssrsc N=400": lambda: simplex_certificate(x, z, cfg.lam, cfg.s),
+            "zero-diagonal N=150": lambda: zero_diagonal_simplex_certificate(x, z, cfg.lam, cfg.s),
+            "slsr N=400": lambda: hyperplane_certificate(x, z, cfg.lam, cfg.s),
+        }[name]()
+        assert abs(certificate) <= 1e-9
+        if cfg.model == "ssrsc":
+            assert z.min() >= 0 and np.abs(z.sum(axis=0) - cfg.s).max() <= 1e-12
+        if cfg.zero_diagonal:
+            assert np.all(np.diag(z) == 0)
+
+    def test_slsr_lands_on_the_closed_form_optimum(self):
+        x = np.random.default_rng(66).standard_normal((6, 60))
+        result = solve(x, SolverConfig(model="slsr", lam=0.1, s=0.8, tol=1e-8, max_iters=100))
+        assert result.converged and result.iterations_used <= 8
+        for j in range(60):
+            expected = hyperplane_column_oracle(x, j, 0.1, 0.8)
+            np.testing.assert_allclose(result.coefficients[:, j], expected, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("zero_diagonal", [False, True], ids=["ssrsc", "zero-diagonal"])
+    def test_block_optimum_matches_the_enumeration_oracle(self, zero_diagonal):
+        # From the full support, from each column's largest entry alone and
+        # from a random support: the certified optimum is the same.
+        rng = np.random.default_rng(67)
+        x = rng.standard_normal((4, 10))
+        cfg = SolverConfig(lam=0.05, s=0.8, zero_diagonal=zero_diagonal)
+        kernel = precompute_kernel(x, 0.25)
+        b = np.sqrt(kernel.squared)[:, None] * kernel.vt
+        n = x.shape[1]
+        gram = x.T @ x + cfg.lam * np.eye(n)
+        expected = np.zeros((n, n))
+        for j in range(n):
+            others = [i for i in range(n) if not (zero_diagonal and i == j)]
+            column = qp_simplex_oracle(gram[np.ix_(others, others)], (x.T @ x)[others, j], cfg.s)
+            expected[others, j] = column
+        guesses = [np.ones((n, n), dtype=bool), np.eye(n, dtype=bool)[::-1], rng.random((n, n)) < 0.3]
+        for guess in guesses:
+            if zero_diagonal:
+                guess = guess & ~np.eye(n, dtype=bool)
+            guess[np.arange(n), (np.arange(n) + 1) % n] = True  # every column keeps an entry
+            values = guess / guess.sum(axis=1, keepdims=True) * cfg.s  # feasible rows of Z^T
+            support = np.flatnonzero(values)
+            scratch = np.empty((2, n, n))
+            bt = np.vstack([b.T, np.zeros((1, b.shape[0]))])
+            found = solvers._simplex_optimum(b, bt, cfg, (support, values.reshape(-1)[support]), 0, scratch)
+            assert found is not None
+            zt = np.zeros(n * n)
+            zt[found[0]] = found[1]
+            assert np.all(found[1] > 0)
+            np.testing.assert_allclose(zt.reshape(n, n).T, expected, rtol=0, atol=1e-9)
+
+    def test_history_before_the_jump_is_the_plain_solve(self, monkeypatch):
+        spec, _ = TOLERANCE_INPUTS["ssrsc N=400"]
+        x = generate_synthetic(spec).data
+        cfg = SolverConfig(tol=0.01, max_iters=5000)
+        jumped = solve(x, cfg)
+        for model, entry in solvers._ADMM_MODELS.items():
+            monkeypatch.setitem(solvers._ADMM_MODELS, model, entry._replace(jump=None))
+        plain = solve(x, cfg)
+        assert plain.iterations_used > 100
+        assert jumped.residual_history[:5] == plain.residual_history[:5]
+        assert jumped.residual_history[5] != plain.residual_history[5]
+
+    @pytest.mark.parametrize(
+        "model, shape",
+        [("ssrsc", (6, 40)), ("slsr", (6, 40)), ("ssrsc", (5, 257)), ("slsr", (5, 257))],
+        ids=["ssrsc", "slsr", "ssrsc sparse N=257", "slsr N=257"],
+    )
+    def test_rows_after_the_jump_measure_the_real_changes(self, model, shape, jump_calls):
+        # Explicit ADMM restarted after step 5 at the fixed point of the
+        # optimum gives the same rows: the sixth compares C_6 and Z_6 with the
+        # C_5 and Z_5 from before the jump.
+        x = np.random.default_rng(65).standard_normal(shape)
+        cfg = SolverConfig(model=model, max_iters=9, tol=1e-300)
+        result = solve(x, cfg)
+        assert jump_calls == [True]
+        optimum = dense(solve(x, SolverConfig(model=model, max_iters=100, tol=1e-9)).coefficients)
+        _, reference = admm_with_inverse(
+            x, lambda shift: regularized_gram_inverse(x, shift, mode="direct"), model, cfg.lam, cfg.s, cfg.rho, 9,
+            jump=(5, optimum),
+        )
+        # Up to the jump, the plain rows; the sixth row's changes are O(1);
+        # after that both are at their rounding floors (the reference's
+        # explicit inverse of an ill-conditioned system reads up to 1e-8).
+        history = np.array(result.residual_history)
+        np.testing.assert_allclose(history[:5], reference[:5], rtol=1e-9, atol=1e-13)
+        np.testing.assert_allclose(history[5, 1:], reference[5][1:], rtol=1e-8, atol=1e-10)
+        assert history[5, 1] > 1e-3 and history[5, 0] <= 1e-9
+        assert history[6:].max() <= 1e-9 and np.max(reference[6:]) <= 1e-8
+        z5, z6 = (dense(solve(x, SolverConfig(model=model, max_iters=k, tol=1e-300)).coefficients) for k in (5, 6))
+        np.testing.assert_allclose(result.residual_history[5][2], frobenius_distance(z6, z5), rtol=1e-12)
+
+    @pytest.mark.parametrize("model, n", [("ssrsc", 40), ("ssrsc", 400), ("slsr", 40), ("nlsr", 40)])
+    def test_no_attempt_within_five_iterations(self, model, n, jump_calls):
+        x = generate_synthetic(SyntheticSpec(40, 4, 4, n // 4, 0.01, seed=1)).data
+        for k in range(1, 6):
+            assert solve(x, SolverConfig(model=model, max_iters=k, tol=1e-300)).iterations_used == k
+        assert jump_calls == []
+        solve(x, SolverConfig(model=model, max_iters=6, tol=1e-300))
+        assert jump_calls == ([] if model == "nlsr" else [True])
+
+    def test_attempts_follow_the_doubling_schedule(self, jump_calls):
+        assert [k for k in range(1, 200) if solvers._attempts_after(k)] == [5, 10, 20, 40, 80, 160]
+        # A landed jump is not tried again after iterations 10 and 20.
+        x = generate_synthetic(SyntheticSpec(40, 4, 4, 10, 0.01, seed=1)).data
+        assert solve(x, SolverConfig(max_iters=25, tol=1e-300)).iterations_used == 25
+        assert jump_calls == [True]
+
+    def test_failed_certification_leaves_the_iterates_untouched(self, monkeypatch, jump_calls):
+        # No round: no block is certified, so every attempt (after iterations
+        # 5, 10, 20, 40 and 80) fails and the solve is the plain one, bit for bit.
+        spec, _ = TOLERANCE_INPUTS["ssrsc N=400"]
+        x = generate_synthetic(spec).data
+        cfg = SolverConfig(tol=0.01, max_iters=5000)
+        monkeypatch.setattr(solvers, "POLISH_ROUNDS", 0)
+        failed = solve(x, cfg)
+        assert jump_calls == [False] * 5
+        for model, entry in solvers._ADMM_MODELS.items():
+            monkeypatch.setitem(solvers._ADMM_MODELS, model, entry._replace(jump=None))
+        plain = solve(x, cfg)
+        assert 80 < plain.iterations_used < 160
+        assert failed.residual_history == plain.residual_history
+        assert_same_coefficients(failed.coefficients, plain.coefficients)
+
+    def test_one_uncertified_block_cancels_the_jump(self, monkeypatch, jump_calls):
+        spec, _ = TOLERANCE_INPUTS["ssrsc N=400"]
+        x = generate_synthetic(spec).data
+        cfg = SolverConfig(max_iters=12, tol=1e-300)
+        optimum = solvers._simplex_optimum
+        monkeypatch.setattr(
+            solvers, "_simplex_optimum", lambda *args: None if args[4] == solvers.PROJECTION_BLOCK else optimum(*args)
+        )
+        failed = solve(x, cfg)
+        assert jump_calls == [False, False]
+        for model, entry in solvers._ADMM_MODELS.items():
+            monkeypatch.setitem(solvers._ADMM_MODELS, model, entry._replace(jump=None))
+        plain = solve(x, cfg)
+        assert failed.residual_history == plain.residual_history
+        assert_same_coefficients(failed.coefficients, plain.coefficients)
+
+    def test_a_support_wider_than_the_systems_room_skips_the_attempt(self):
+        # N=50 allows systems of sqrt(100) = 10: a support of 11 in D=20
+        # takes 11 x 11 systems and is skipped, one of 10 is not; in D=5 the
+        # r x r form makes any support fit.
+        rng = np.random.default_rng(68)
+        cfg = SolverConfig()
+        for d, width, fits in [(20, 10, True), (20, 11, False), (5, 50, True)]:
+            bt = np.vstack([rng.standard_normal((50, d)), np.zeros((1, d))])
+            owner = np.zeros(width, dtype=np.intp)
+            solved = solvers._restricted_optima(bt, owner, np.arange(width), np.array([0]), cfg, np.empty(10**4))
+            assert (solved is not None) == fits
+
+    def test_identical_points_converge_at_once(self):
+        # X^T X is rank one: plain ADMM's dual grows towards ||x||^2 N/rho
+        # under the 4 rho cap, which took 4987 iterations to tol 0.01.
+        x = np.tile(np.random.default_rng(63).standard_normal((5, 1)), (1, 200))
+        result = solve(x, SolverConfig(tol=0.01, max_iters=50))
+        assert result.converged
+        np.testing.assert_allclose(result.coefficients, 0.5 / 200, rtol=1e-9)
+
+    @pytest.mark.parametrize("zero_diagonal", [False, True], ids=["ssrsc", "zero-diagonal"])
+    def test_sparse_and_dense_routes_land_together(self, zero_diagonal, monkeypatch):
+        x = generate_synthetic(SyntheticSpec(40, 4, 4, 100, 0.01, seed=3)).data
+        cfg = SolverConfig(zero_diagonal=zero_diagonal, max_iters=2000, tol=1e-2)
+        sparse = solve(x, cfg)
+        dense_route = TestCsrRoute.dense_route(monkeypatch, x, cfg)
+        assert sparse.converged and sparse.iterations_used == dense_route.iterations_used == 7
+        assert np.abs(sparse.coefficients - dense_route.coefficients).max() <= 1e-12
+        np.testing.assert_allclose(sparse.residual_history, dense_route.residual_history, rtol=1e-9, atol=1e-12)

@@ -29,8 +29,11 @@ and zero-diagonal ssrsc on the N=150 fixture (``SyntheticSpec(30, 4, 3, 50,
 certificate of its Z, from ``perfbench/checks.py``: the Frank-Wolfe gap
 over f(Z) for ssrsc, (f - f*)/f* for slsr and the projected-gradient
 residual for nlsr. Its ``solver`` block also holds the module constants of
-``simplexsc.solvers`` that shape a long solve (``RELAXATION`` and the
-``BALANCE_*`` rule), null where the imported sources lack one.
+``simplexsc.solvers`` that shape a long solve (``RELAXATION``, the
+``BALANCE_*`` rule and ``POLISH_ROUNDS``), null where the imported sources
+lack one, and ``jump_after_iteration`` the iteration after which the
+solve's certified jump to the optimum landed, null if none did (or the
+sources have none).
 
 k-means inputs: k unit-normalised Gaussian blobs in k dimensions (the shape
 of the row-normalised spectral embedding that kmeans receives), fixed seeds:
@@ -83,7 +86,7 @@ REPEATS = 5
 TO_TOLERANCE = {"tol": 0.01, "max_iters": 5000}
 TOLERANCE_FIXTURE = (30, 4, 3, 50, 0.05, 1)  # SyntheticSpec of the zero-diagonal solve
 # simplexsc.solvers constants recorded with every solve to tolerance
-SOLVER_CONSTANTS = ("RELAXATION", "BALANCE_FROM", "BALANCE_RATIO", "BALANCE_STEP", "BALANCE_CAP")
+SOLVER_CONSTANTS = ("RELAXATION", "BALANCE_FROM", "BALANCE_RATIO", "BALANCE_STEP", "BALANCE_CAP", "POLISH_ROUNDS")
 # (name, N, k, inputs per timing, seed of the first input)
 KMEANS_SHAPES = (("grid-cell", 150, 3, 12, 0), ("large", 3000, 5, 1, 100), ("ten-clusters", 600, 10, 3, 200))
 KMEANS_NOISE = 0.35
@@ -104,6 +107,32 @@ def with_helper_threads(call):
     finally:
         threading.Thread.start = start
     return len(started), result
+
+
+def with_jump(solvers, model: str, call):
+    """Run call() and return the iteration after which model's certified jump landed (None if none did) and its result.
+
+    The attempts come after the iterations that ``solvers._attempts_after``
+    names; sources without a jump in their model table give None.
+    """
+    table = getattr(solvers, "_ADMM_MODELS", {})
+    entry = table.get(model)
+    if getattr(entry, "jump", None) is None:
+        return None, call()
+    landed = []
+
+    def recording(*args):
+        write = entry.jump(*args)
+        landed.append(write is not None)
+        return write
+
+    table[model] = entry._replace(jump=recording)
+    try:
+        result = call()
+    finally:
+        table[model] = entry
+    attempts = [k for k in range(1, result.iterations_used) if solvers._attempts_after(k)]
+    return next((k for k, ok in zip(attempts, landed) if ok), None), result
 
 
 def seconds(call) -> float:
@@ -253,7 +282,9 @@ def main() -> None:
     to_tolerance = {}
     for key, points, settings in tolerance_solves:
         tol_cfg = SolverConfig(**settings, **TO_TOLERANCE)
-        threads, result = with_helper_threads(lambda: solve(points, tol_cfg))
+        threads, (jumped, result) = with_helper_threads(
+            lambda: with_jump(simplexsc.solvers, tol_cfg.model, lambda: solve(points, tol_cfg))
+        )
         times = [seconds(lambda: solve(points, tol_cfg)) for _ in range(REPEATS)]
         best_s, median_s = best_and_median(times)
         z = result.coefficients
@@ -268,6 +299,7 @@ def main() -> None:
             "d": points.shape[0],
             "solver": {**settings, **TO_TOLERANCE, **constants},
             "iterations": result.iterations_used,
+            "jump_after_iteration": jumped,
             "certificate": certificate,
             "helper_threads": threads,
             "best_s": best_s,
@@ -276,7 +308,7 @@ def main() -> None:
             "output_sha256": solve_digest(result),
         }
         print(
-            f"{args.label} {key} N={points.shape[1]}: {result.iterations_used} iterations, "
+            f"{args.label} {key} N={points.shape[1]}: {result.iterations_used} iterations (jump after {jumped}), "
             f"certificate {certificate:.2g}, best {best_s * 1e3:.0f} ms "
             f"({to_tolerance[key]['ms_per_iteration']:.2f} ms an iteration)"
         )
