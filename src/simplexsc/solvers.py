@@ -51,33 +51,30 @@ C_hat - U = Z + (alpha - 1) S + V((alpha - 1) M + alpha W), and the dual
 step gives S_new = (Z_new - Z) - (alpha - 1) S and
 M_new = (1 - alpha) M - alpha W; at alpha = 1, C - U = Z + V W,
 S_new = Z_new - Z and M_new = -W.
-The loop keeps two N x N arrays, Z^T and S^T (one row per point), and the
-r x N M, P = V^T Z and R = V^T S. Each 256-row block of Z^T is one task: a
-GEMM for its rows of C_hat - U, the projection in place in the task's
-scratch, its rows of Z^T and S^T, three partial squared norms
-(``_squares``) and its columns of P; the residuals come from the blocks'
-norms, added in block order, and O(rN) factor terms.
-
-ssrsc's Z is sparse and non-negative, and ADMM's supports barely move. So
-a ssrsc solve of more than one row block (N > ``PROJECTION_BLOCK``) keeps
-Z^T and S^T as lists of row blocks held as entries (sorted flat positions
-and values), and a task passes a block's dense form only through its
-scratch: it adds Z^T[rows] and (alpha - 1) S^T[rows] at their entries
-after the GEMM, and from the second iteration on the projection screens
-each column with its previous support (see ``projections``) and returns the
-positive entries, with no partition and no scan of the block. S^T and the
-squared norms come from the entries at the union of the three blocks'
-positions (relaxed, S^T keeps every entry Z has had, as S_new = dZ -
-(alpha - 1) S, so the union is mostly S^T's own entries), and P's columns
-from scipy's CSR product on the entries. A block denser than its entries
-(a degenerate input, such as every point the same, or an early iterate at
-lam >= 1) is kept as a dense array and takes the dense loop's step in
-place. Z comes back as a ``scipy.sparse`` CSC array, the transpose of the
-stacked Z^T, from ``SPARSE_EIGEN_MIN_N`` points on (the spectral stage's
-threshold), and as a dense array below; such a solve needs
-O(nnz + threads * 256 * N) memory until then. Z and the residuals agree
-with the dense loop's to rounding: the order of the sums differs, and
-relaxed, the dense loop adds (alpha - 1) S by BLAS daxpy.
+The loop keeps Z^T and S^T (one row per point) as lists of row blocks of
+``PROJECTION_BLOCK`` rows, and the r x N M, P = V^T Z and R = V^T S. Each
+row block is one task: a GEMM for its rows of C_hat - U, to which it adds
+Z^T and (alpha - 1) S^T, the projection in place in the task's scratch, its
+new rows of Z^T and S^T, three partial squared norms (``_squares``) and its
+columns of P; the residuals come from the blocks' norms, added in block
+order, and O(rN) factor terms. A block is a dense array, updated in place,
+except in a ssrsc solve of more than one row block (``_sparse_route``):
+ssrsc's Z is sparse and non-negative and ADMM's supports barely move, so
+there a block is held as its entries (sorted flat positions and values)
+unless it is denser than they are (a degenerate input, such as every point
+the same, or an early iterate at lam >= 1). A block of entries passes its
+dense form only through the scratch: from the second iteration on, the
+projection screens each column with its previous support (see
+``projections``) and returns the positive entries, with no partition and
+no scan of the block, and S^T and the squared norms come from the entries
+at the union of the three blocks' positions (relaxed, S^T keeps every
+entry Z has had, as S_new = dZ - (alpha - 1) S, so the union is mostly
+S^T's own entries), and P's columns from scipy's CSR product. Such a solve
+needs O(nnz + threads * 256 * N) memory, and its Z and residuals agree with
+those of dense blocks to rounding, as the order of the sums differs. Z
+comes back as a ``scipy.sparse`` CSC array, the transpose of the stacked
+Z^T, for ssrsc from ``SPARSE_EIGEN_MIN_N`` points on (the spectral stage's
+threshold), and as a dense array otherwise.
 
 ADMM is early-stopped by design (the paper's 5 iterations), but a solve
 to tolerance ends at an optimum that an active set can find exactly
@@ -311,8 +308,8 @@ def _squares(dz: np.ndarray, gap: np.ndarray, s_new: np.ndarray) -> list:
 
 # Per constrained model, its Z-step and its certified jump. The Z-step
 # projects Z's columns start, start + 1, ... of v in place, ssrsc with the
-# block-sized scratch and, from the sparse loop's second iteration on, the
-# previous supports, with which it returns the positive entries instead. The
+# block-sized scratch and, after a block of entries, its previous supports,
+# with which it returns the positive entries instead. The
 # jump (see _solve_admm) takes the kernel, cfg, the loop's row blocks of Z^T,
 # its block runner and the blocks, and returns a function that writes a row
 # block of the optimum's Z*^T into an array, or None if it could not certify
@@ -345,10 +342,9 @@ def _block_threads(n: int) -> int:
 
     One per core that this process may run on, but few enough that their
     scratch (two blocks each) holds no more than one N x N array: on two
-    threads the dense loop (nlsr) peaked at 3.1-3.3 N^2 doubles (N=1024
-    identical points, and N=1200), and the sparse loop at 3.3 N^2 on the
-    identical points, where every block is dense. So a solve of fewer than 4
-    blocks (N < 1024) stays serial.
+    threads a solve of dense blocks (nlsr at N=1200, or ssrsc on N=1024
+    identical points) peaked at 3.1-3.3 N^2 doubles. So a solve of fewer
+    than 4 blocks (N < 1024) stays serial.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(cores, n // (2 * PROJECTION_BLOCK)))
@@ -391,16 +387,16 @@ def _block_runner(threads: int, scratch_shape: tuple[int, ...]):
 
 
 def _sparse_route(model: str, n: int) -> bool:
-    """Whether a solve keeps Z^T and S^T as row-block entries: ssrsc of more than one row block."""
+    """Whether a solve may hold row blocks of Z^T and S^T as entries: ssrsc of more than one row block."""
     return model == "ssrsc" and n > PROJECTION_BLOCK
 
 
-# A row block of the sparse loop's Z^T or S^T is its entries, the sorted flat
-# positions of its nonzeros in the block's C-ordered form and their values
-# (12 bytes an entry: the positions are 32-bit, as a block of PROJECTION_BLOCK
-# rows has fewer than 2**31 entries below 8 million points), or, when more
-# than 2/3 of its entries are nonzero, a dense array, which then takes less
-# memory.
+# A row block of Z^T or S^T is a dense array, or, on the sparse route, its
+# entries: the sorted flat positions of its nonzeros in the block's C-ordered
+# form and their values (12 bytes an entry: the positions are 32-bit, as a
+# block of PROJECTION_BLOCK rows has fewer than 2**31 entries below 8 million
+# points), unless more than 2/3 of its entries are nonzero, when the dense
+# array takes less memory.
 NO_ENTRIES = (np.empty(0, dtype=np.int32), np.empty(0))
 
 
@@ -432,6 +428,16 @@ def _add_scaled(flat: np.ndarray, block, factor: float) -> None:
         flat[positions] += factor * values
 
 
+def _filled(v: np.ndarray, block) -> np.ndarray:
+    """v holding a row block: a copy of a dense block, or its entries and zeros elsewhere."""
+    if isinstance(block, np.ndarray):
+        np.copyto(v, block)
+    else:
+        v.fill(0.0)
+        v.reshape(-1)[block[0]] = block[1]
+    return v
+
+
 def _nonzero_entries(v: np.ndarray):
     """The entries of a C-ordered block, or None if it is denser than they are."""
     flat = v.reshape(-1)
@@ -442,19 +448,20 @@ def _nonzero_entries(v: np.ndarray):
     return positions, flat[positions]
 
 
-def _kept(v: np.ndarray, owned):
-    """The row block of the scratch block v: its entries, or a dense array, written into ``owned`` if that is one."""
-    entries = _nonzero_entries(v)
-    if entries is not None:
-        return entries
+def _kept(v: np.ndarray, owned, entries: bool = True):
+    """The row block of v: its entries if ``entries`` and they are smaller, else dense, in ``owned`` if that is."""
+    found = _nonzero_entries(v) if entries else None
+    if found is not None:
+        return found
     if isinstance(owned, np.ndarray):
-        np.copyto(owned, v)
+        if owned is not v:
+            np.copyto(owned, v)
         return owned
     return v.copy()
 
 
 def _rescale(blocks: list, factor: float) -> None:
-    """Multiply the sparse loop's row blocks by factor in place: their values, or the dense blocks."""
+    """Multiply row blocks by factor in place: their values, or the dense blocks."""
     for block in blocks:
         values = block if isinstance(block, np.ndarray) else block[1]
         values *= factor
@@ -475,10 +482,8 @@ def _at(flat: np.ndarray, union: np.ndarray, block) -> np.ndarray:
     return flat[union]
 
 
-def _squared_norm(blocks) -> float:
-    """||S||_F^2 of the loop's S^T: an N x N array, or the sparse loop's row blocks."""
-    if isinstance(blocks, np.ndarray):
-        return float(np.vdot(blocks, blocks))
+def _squared_norm(blocks: list) -> float:
+    """||S||_F^2 from the row blocks of S^T, summed block by block."""
     return float(sum(np.vdot(b, b) if isinstance(b, np.ndarray) else np.vdot(b[1], b[1]) for b in blocks))
 
 
@@ -492,22 +497,31 @@ def _union(*positions: np.ndarray) -> np.ndarray:
     return merged[keep]
 
 
-def _times(block, v_rows: np.ndarray, count: int) -> np.ndarray:
-    """The product of a row block of count rows and V (N x r): a GEMM, or a CSR product on its entries."""
+def _columns(block, vt: np.ndarray, v_rows: np.ndarray, count: int) -> np.ndarray:
+    """A row block's columns of P = V^T Z: a GEMM on a dense block, or a CSR product on its entries."""
     if isinstance(block, np.ndarray):
-        return block @ v_rows
+        return vt @ block.T
     positions, values = block
     n = v_rows.shape[0]
     indptr = np.searchsorted(positions, np.arange(0, count * n + 1, n)).astype(np.int32)
-    return scipy.sparse.csr_array((values, np.remainder(positions, n), indptr), shape=(count, n)) @ v_rows
+    return (scipy.sparse.csr_array((values, np.remainder(positions, n), indptr), shape=(count, n)) @ v_rows).T
 
 
 def _assembled(blocks: list, n: int, sparse: bool):
-    """Z from the sparse loop's row blocks of Z^T, which it drops as it goes.
+    """Z from the row blocks of Z^T, which it drops as it goes.
 
     A ``scipy.sparse`` CSC array (the transpose of CSR Z^T) if ``sparse``,
-    else the transpose of CSR Z^T's dense C-ordered form.
+    else the transpose of a lone block or of the blocks written into one
+    N x N array.
     """
+    if not sparse:
+        if len(blocks) == 1:
+            return blocks.pop().T
+        zt = np.empty((n, n))
+        for i, block in enumerate(blocks):
+            _filled(zt[i * PROJECTION_BLOCK : (i + 1) * PROJECTION_BLOCK], block)
+            blocks[i] = block = None
+        return zt.T
     nnz = sum(np.count_nonzero(b) if isinstance(b, np.ndarray) else b[0].size for b in blocks)
     index = np.int32 if nnz < 2**31 else np.int64
     data, indices, indptr = np.empty(nnz), np.empty(nnz, dtype=index), np.zeros(n + 1, dtype=index)
@@ -524,8 +538,7 @@ def _assembled(blocks: list, n: int, sparse: bool):
         np.remainder(positions, n, out=indices[at : at + positions.size], casting="unsafe")
         at += positions.size
         blocks[i] = block = None
-    zt = scipy.sparse.csr_array((data, indices, indptr), shape=(n, n))
-    return zt.T if sparse else zt.toarray().T
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(n, n)).T
 
 
 def _attempts_after(k: int) -> bool:
@@ -569,21 +582,22 @@ def _restricted_optima(
     with mu = (s - 1^T x)/(1^T y) the multiplier, so the half-gradient
     B^T (B z - b_j) + lam z is mu on the support. Returns z in entry order,
     mu and the residuals B z - b_j (one row per column); None also for a
-    column with no entry or a non-finite result. Columns are gathered in
+    column with no entry, a singular system, a non-finite result or a
+    column whose k x r gather does not fit ``room``. Columns are gathered in
     chunks into ``room``, a flat float64 buffer (an idle scratch block).
     """
     n, r = bt.shape[0] - 1, bt.shape[1]
     count = columns.size
     sizes = np.bincount(owner, minlength=count)
     k = int(sizes.max())
-    if min(k, r) ** 2 > 2 * n or sizes.min() == 0:
+    if min(k, r) ** 2 > 2 * n or sizes.min() == 0 or k * r > room.size:
         return None
     first = np.concatenate([[0], np.cumsum(sizes)])
     slot = np.arange(owner.size) - first[owner]
     rows = np.full((count, k), n)
     rows[owner, slot] = index
     values, mu, residual = np.empty(owner.size), np.empty(count), np.empty((count, r))
-    step = max(1, room.size // (k * r))
+    step = room.size // (k * r)
     for lo in range(0, count, step):
         hi = min(lo + step, count)
         part = slice(first[lo], first[hi])
@@ -592,8 +606,11 @@ def _restricted_optima(
         np.take(bt, rows[lo:hi], axis=0, out=gathered, mode="clip")  # "clip" writes out unbuffered
         mask = (rows[lo:hi] < n).astype(np.float64)
         target = bt[columns[lo:hi]]
-        x, y = _ridge_solves(gathered, target, mask, cfg.lam)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            try:
+                x, y = _ridge_solves(gathered, target, mask, cfg.lam)
+            except np.linalg.LinAlgError:  # overflowed systems
+                return None
             mu[lo:hi] = (cfg.s - x.sum(axis=1)) / y.sum(axis=1)
             x += mu[lo:hi, None] * y
         values[part] = x[at]
@@ -618,11 +635,14 @@ def _simplex_optimum(b: np.ndarray, bt: np.ndarray, cfg: SolverConfig, entries, 
     Certified means positive entries and no such outsider, up to a rounding
     slack bounded as projections._slack bounds its own: 2 (r + k + 4) eps
     times the sums' magnitudes, beta (||B z_j - b_j|| + beta s + ||b_j||) +
-    lam s + |mu_j| with beta the largest column norm of B. Gives up after
-    POLISH_ROUNDS passes, or when a system would be wider than sqrt(2N).
+    lam s + |mu_j| with beta the largest column norm of B. ``scratch`` is
+    a task's (2, rows, N) scratch: the first takes the gradients and the
+    whole second is the room of the gathered supports, also for a short
+    last block. Gives up after POLISH_ROUNDS passes, or when a system would
+    be wider than sqrt(2N), does not fit the room or cannot be solved.
     """
     r, n = b.shape
-    count = scratch.shape[1]
+    count = min(scratch.shape[1], n - start)
     norms = np.sqrt(np.einsum("ij,ij->i", bt, bt))
     beta = norms.max()
     support, values = np.asarray(entries[0], dtype=np.intp), entries[1].copy()
@@ -694,16 +714,14 @@ def _simplex_jump(kernel: PrecomputedKernel, cfg: SolverConfig, zt_blocks: list,
         if isinstance(block, np.ndarray):
             support = np.flatnonzero(block)
             block = (support, block.reshape(-1)[support])
-        return _simplex_optimum(b, bt, cfg, block, rows.start, scratch[:, : rows.stop - rows.start])
+        return _simplex_optimum(b, bt, cfg, block, rows.start, scratch)
 
     optima = run(attempt, blocks)
     if any(entries is None for entries in optima):
         return None
 
     def write(v: np.ndarray, rows: slice) -> None:
-        positions, values = optima[rows.start // PROJECTION_BLOCK]
-        v.fill(0.0)
-        v.reshape(-1)[positions] = values
+        _filled(v, optima[rows.start // PROJECTION_BLOCK])
 
     return write
 
@@ -735,9 +753,10 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
 
     All iterates start at zero (see the module docstring for the algebra
     and the certified jump). Stops when the three residuals are
-    simultaneously <= tol, or after max_iters iterations. Returns Z, the iterate that satisfies the model's
-    constraints exactly, as the transpose of the C-ordered Z^T. Raises
-    DivergenceError when an iterate turns non-finite.
+    simultaneously <= tol, or after max_iters iterations. Returns Z, the
+    iterate that satisfies the model's constraints exactly, as the transpose
+    of the C-ordered Z^T (CSR for a sparse Z). Raises DivergenceError when
+    an iterate turns non-finite.
     """
     if cfg.model != model:
         raise ConfigError(f"solve_{model} requires model {model!r}, got {cfg.model!r}")
@@ -752,15 +771,12 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
     with single_blas_thread():
         kernel = precompute_kernel(x, 0.5 * rho)
         vt = kernel.vt
-        # ssrsc's Z is sparse and non-negative: from two row blocks on, Z^T
-        # and S^T are lists of row blocks, most of them entries.
+        v_rows = np.ascontiguousarray(vt.T)
+        # Row blocks of Z^T and S^T: on the sparse route most of them
+        # entries, else dense arrays.
         sparse = _sparse_route(model, n)
-        if sparse:
-            zt = [NO_ENTRIES] * len(blocks)
-            st = list(zt)
-            v_rows = np.ascontiguousarray(vt.T)
-        else:
-            zt, st = np.zeros((n, n)), np.zeros((n, n))
+        zt = [NO_ENTRIES if sparse else np.zeros((rows.stop - rows.start, n)) for rows in blocks]
+        st = [b if sparse else np.zeros_like(b) for b in zt]
         p, r, m = (np.zeros_like(vt) for _ in range(3))
         # C_0 = 0 and C_1 = V diag(ridge) V^T; after that, C_k+1 - C_k =
         # (I - V diag(ridge) V^T)(Y_k - Y_k-1), Y = Z + U, whose dense
@@ -781,24 +797,18 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 v, spare = scratch[:, : rows.stop - rows.start]
                 write(v, rows)
                 p_star[:, rows] = vt @ v.T
-                old = zt[block] if sparse else zt[rows]
+                previous[block] = zt[block]
                 np.copyto(spare, v)
-                _apply(np.subtract, spare.reshape(-1), old)
+                _apply(np.subtract, spare.reshape(-1), zt[block])
                 _apply(np.add, spare.reshape(-1), gaps[block])
                 gaps[block] = None
-                if sparse:
-                    zt[block], st[block] = _kept(v, None), NO_ENTRIES
-                else:
-                    old, zt[rows], st[rows] = old.copy(), v, 0.0
-                previous[block] = old
+                zt[block], st[block] = _kept(v, None, sparse), NO_ENTRIES
                 return np.vdot(spare, spare)
 
             def moved(rows: slice, scratch: np.ndarray) -> float:
                 """||Z_k+1 - Z_k||^2 on one row block, Z_k from before the jump."""
                 block = rows.start // PROJECTION_BLOCK
-                v = scratch[0, : rows.stop - rows.start]
-                v.fill(0.0)
-                _apply(np.add, v.reshape(-1), zt[block] if sparse else zt[rows])
+                v = _filled(scratch[0, : rows.stop - rows.start], zt[block])
                 _apply(np.subtract, v.reshape(-1), previous[block])
                 return np.vdot(v, v)
 
@@ -814,58 +824,31 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 k = len(history) + 1
                 gaps = [None] * len(blocks) if jump and _attempts_after(k) and k < cfg.max_iters else None
 
-                def update(rows: slice, scratch: np.ndarray) -> list:
-                    """Z-step and dual step on one row block; its squared norms and columns of P."""
-                    v, spare = scratch[:, : rows.stop - rows.start]
-                    np.matmul(w_hat[:, rows].T, vt, out=v)  # rows of (C_hat - U)^T, with Z^T and (alpha - 1) S^T
-                    v += zt[rows]
-                    if excess:
-                        _add_scaled(v.reshape(-1), st[rows], excess)
-                    v *= scale
-                    # In place on v, with spare as ssrsc's scratch. Its
-                    # finiteness scan is the loop's only one.
-                    try:
-                        z_next = project(v.T, cfg, rows.start, spare).T
-                    except NumericError as exc:
-                        raise DivergenceError("ADMM iterates became non-finite") from exc
-                    dz = np.subtract(z_next, zt[rows], out=spare)
-                    zt[rows] = z_next  # v is free from here
-                    gap = np.subtract(dz, st[rows], out=v)
-                    if gaps is not None:
-                        gaps[rows.start // PROJECTION_BLOCK] = _kept(gap, None)
-                    s_next = st[rows]
-                    if excess:  # S_new = dZ - (alpha - 1) S, in place
-                        s_next *= -excess
-                        s_next += dz
-                    else:
-                        np.copyto(s_next, dz)
-                    squares = _squares(dz, gap, s_next)
-                    p_next[:, rows] = vt @ zt[rows].T
-                    return squares
+                def step(rows: slice, scratch: np.ndarray) -> list:
+                    """Z-step and dual step on one row block of Z^T and S^T; its squared norms and columns of P.
 
-                def update_sparse(rows: slice, scratch: np.ndarray) -> list:
-                    """The step of update on one row block of the sparse loop's Z^T and S^T.
-
-                    From the second iteration on, the projection screens the
-                    block's columns with their previous supports and returns
-                    the positive entries. S^T, the squared norms and P's
-                    columns then come from the three blocks' entries, written
-                    at the union of their positions into v: the dense step's
-                    bits (S_new's support lies in the union). A block with a
-                    dense Z^T or S^T, or whose union is denser than its
-                    entries, takes update's dense step, into the dense blocks
-                    in place.
+                    The projection works in place on v, the block's rows of
+                    C_hat - U, or, from a block of entries, screens each
+                    column with its previous support and returns the
+                    positive entries. When Z_new, Z and S are all entries,
+                    S_new, the squared norms and P's columns come from them,
+                    written at the union of their positions into v (S_new's
+                    support lies in the union). Otherwise (a dense block, or
+                    a union denser than its entries) the step runs on the
+                    dense forms, S_new in place. Both give the same bits.
                     """
                     block = rows.start // PROJECTION_BLOCK
                     z_old, s_old = zt[block], st[block]
                     v, spare = scratch[:, : rows.stop - rows.start]
-                    np.matmul(w_hat[:, rows].T, vt, out=v)
+                    np.matmul(w_hat[:, rows].T, vt, out=v)  # rows of (C_hat - U)^T, with Z^T and (alpha - 1) S^T
                     flat = v.reshape(-1)
                     _apply(np.add, flat, z_old)
                     if excess:
                         _add_scaled(flat, s_old, excess)
                     v *= scale
                     warm = () if isinstance(z_old, np.ndarray) or not z_old[0].size else (z_old[0],)
+                    # With spare as ssrsc's scratch. Its finiteness scan is
+                    # the loop's only one.
                     try:
                         z_new = project(v.T, cfg, rows.start, spare, *warm)
                     except NumericError as exc:
@@ -873,7 +856,7 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                     if warm:
                         z_new = (z_new[0].astype(np.int32), z_new[1])
                     else:  # v holds the projection
-                        z_new = _nonzero_entries(v)
+                        z_new = _nonzero_entries(v) if sparse else None
                     union = None
                     if z_new is not None and not any(isinstance(b, np.ndarray) for b in (z_old, s_old)):
                         union = _union(z_new[0], z_old[0], s_old[0])
@@ -896,32 +879,28 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                         zt[block], st[block] = z_new, (union[stored], s_next[stored])
                     else:
                         if warm:  # v = Z_new
-                            v.fill(0.0)
-                            flat[z_new[0]] = z_new[1]
+                            _filled(v, z_new)
                         dz = spare
                         np.copyto(dz, v)
                         _apply(np.subtract, dz.reshape(-1), z_old)
-                        zt[block] = _kept(v, z_old)  # v is free from here
-                        s_next = dz
-                        if excess:  # v = S_new = dZ - (alpha - 1) S
-                            np.copyto(v, dz)
-                            _add_scaled(flat, s_old, -excess)
-                            s_next = v
-                        if isinstance(s_old, np.ndarray):
-                            gap = np.subtract(dz, s_old, out=s_old)
+                        zt[block] = _kept(v, z_old, sparse)  # v is free from here
+                        s_next = s_old if isinstance(s_old, np.ndarray) else _filled(np.empty_like(v), s_old)
+                        gap = np.subtract(dz, s_next, out=v)
+                        if excess:  # S_new = dZ - (alpha - 1) S, in place
+                            s_next *= -excess
+                            s_next += dz
                         else:
-                            gap = dz.copy()
-                            _apply(np.subtract, gap.reshape(-1), s_old)
+                            np.copyto(s_next, dz)
                         if gaps is not None:
                             gaps[block] = _kept(gap, None)
                         squares = _squares(dz, gap, s_next)
-                        st[block] = _kept(s_next, gap)
-                    p_next[:, rows] = _times(zt[block], v_rows, rows.stop - rows.start).T
+                        st[block] = _kept(s_next, s_next, sparse)
+                    p_next[:, rows] = _columns(zt[block], vt, v_rows, rows.stop - rows.start)
                     return squares
 
                 dense_sq = np.zeros(3)
                 # Summed in block order, whatever ran them.
-                for squares in run(update_sparse if sparse else update, blocks):
+                for squares in run(step, blocks):
                     dense_sq += squares
                 dz_sq, gap_sq, sum_sq = dense_sq
                 # The unrelaxed C - Z_new = S - dZ + V(M + W); dr is V^T (dZ - S)
@@ -971,16 +950,13 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                         inside += (kernel.ridge - ridge)[:, None] * (vt - (p + r + m))
                         c_change = _split_norm(f * f * s_sq + gap_sq + f * (sum_sq - s_sq - gap_sq), vtd, inside)
                         del vtd, inside  # held through the next iteration, they would raise its peak
-                        if sparse:
-                            _rescale(st, f)
-                        else:
-                            st *= f
+                        _rescale(st, f)
                 p, r, m = p_next, r + dr, m + dm
                 if f != 1.0:
                     r *= f
                     m *= f
                 if gaps is not None:
-                    write = jump(kernel, cfg, zt if sparse else [zt[rows] for rows in blocks], run, blocks)
+                    write = jump(kernel, cfg, zt, run, blocks)
                     if write is not None:
                         p_star, previous = np.empty_like(vt), [None] * len(blocks)
                         d_sq = sum(run(land, blocks))
@@ -997,11 +973,8 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                         r.fill(0.0)
                         jump = None  # landed: no further attempt
                     gaps = before = write = vtd = inside = None
-        if sparse:
-            st.clear()  # room for assembling Z
-            z = _assembled(zt, n, n >= spectral.SPARSE_EIGEN_MIN_N)
-        else:
-            z = zt.T
+        st.clear()  # room for assembling Z
+        z = _assembled(zt, n, sparse and n >= spectral.SPARSE_EIGEN_MIN_N)
     return SolveResult(coefficients=z, residual_history=history, converged=converged)
 
 

@@ -1092,6 +1092,38 @@ class TestCertifiedJump:
         assert result.converged
         np.testing.assert_allclose(result.coefficients, 0.5 / 200, rtol=1e-9)
 
+    @pytest.mark.parametrize("n", [257, 258], ids=["N=257", "N=258"])
+    @pytest.mark.parametrize("name", ["gaussian", "zero-diagonal", "identical points"])
+    def test_a_short_last_block_lands(self, name, n):
+        # The last row block holds 1 or 2 columns: the active set gathers its
+        # supports in the task's whole second scratch block, not in the
+        # block's few rows, where a support of more than N/r entries did
+        # not fit.
+        rng = np.random.default_rng(1)
+        identical = name == "identical points"
+        x = np.tile(rng.standard_normal((5, 1)), (1, n)) if identical else rng.standard_normal((40, n))
+        cfg = SolverConfig(
+            lam=1.0 if name == "gaussian" else 0.01, zero_diagonal=name == "zero-diagonal", tol=0.01, max_iters=300
+        )
+        result = solve(x, cfg)
+        assert result.converged
+        certify = zero_diagonal_simplex_certificate if cfg.zero_diagonal else simplex_certificate
+        assert abs(certify(x, result.coefficients, cfg.lam, cfg.s)) <= 1e-9
+
+    @pytest.mark.parametrize("zero_diagonal", [False, True], ids=["ssrsc", "zero-diagonal"])
+    def test_overflowing_jump_systems_leave_plain_admm(self, zero_diagonal):
+        # At 1e150 the active set's ridge systems overflow and are singular:
+        # the attempt is not certified, and ADMM goes on with no warning.
+        x = np.random.default_rng(0).standard_normal((5, 40)) * 1e150
+        cfg = SolverConfig(zero_diagonal=zero_diagonal, tol=0.01, max_iters=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                z = solve(x, cfg).coefficients
+            except (DivergenceError, NumericError):
+                return
+        assert z.min() >= 0 and np.abs(z.sum(axis=0) - cfg.s).max() <= 1e-12
+
     @pytest.mark.parametrize("zero_diagonal", [False, True], ids=["ssrsc", "zero-diagonal"])
     def test_sparse_and_dense_routes_land_together(self, zero_diagonal, monkeypatch):
         x = generate_synthetic(SyntheticSpec(40, 4, 4, 100, 0.01, seed=3)).data
