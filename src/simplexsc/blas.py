@@ -6,7 +6,8 @@ product differs in its last bits between 1 and 2 threads. The pipeline, the
 solvers and spectral clustering therefore run inside ``single_blas_thread``,
 and take their parallelism from threads of their own, each of which calls
 the one-thread BLAS on whole products: the ADMM row blocks of solves with
-N >= 1024 and the ablation workers.
+N >= 1024. The ablation grid's worker processes pin their own BLAS the same
+way.
 
 The OpenBLAS builds that the Linux numpy and scipy wheels bundle (in
 ``numpy.libs`` and ``scipy.libs``) are controlled through their own

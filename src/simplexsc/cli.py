@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ablation", action="store_true",
                         help="run the four-model lambda grid instead of a single pipeline")
     parser.add_argument("--workers", type=int, default=1,
-                        help="thread count for --ablation grid rows (default 1)")
+                        help="worker processes for the --ablation grid cells (default 1: in-process)")
     return parser
 
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import atexit
 import csv
+import threading
 from dataclasses import dataclass
+from itertools import repeat
 from time import perf_counter
 
 import numpy as np
@@ -130,6 +133,58 @@ class AblationReport:
         return "\n".join(rendered)
 
 
+def _cell(data: np.ndarray, spectral: SpectralConfig, cfg: SolverConfig):
+    """One grid cell up to its labels: (labels, iterations_used, failure, seconds).
+
+    It runs in a grid worker or in-process; ``run_ablation`` scores the labels.
+    """
+    start = perf_counter()
+    try:
+        result = solve(data, cfg)
+        labels = spectral_cluster(build_affinity(result.coefficients, spectral.affinity_mode), spectral)
+    except (ConfigError, DomainError, NumericError) as exc:
+        return None, 0, f"{type(exc).__name__}: {exc}", perf_counter() - start
+    return labels, result.iterations_used, None, perf_counter() - start
+
+
+# run_ablation's kept worker pool as (workers, executor), or None.
+_kept = None
+
+
+def _grid_pool(workers: int):
+    """The kept fork pool of ``workers`` processes, made on first use; None runs the cells in-process.
+
+    A kept pool of another size is shut down first. No pool is made where
+    ``fork`` is unavailable or other threads are alive: a forked copy of a
+    threaded process can deadlock on a lock that one of them held.
+    """
+    global _kept
+    if _kept is not None and _kept[0] != workers:
+        _shutdown_pool()
+    if _kept is None:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+            return None
+        from concurrent.futures import ProcessPoolExecutor
+
+        _kept = workers, ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    return _kept[1]
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    """End the kept pool's workers; the next parallel ``run_ablation`` forks new ones.
+
+    Registered with atexit, so that the pool is gone before the interpreter
+    tears its modules down.
+    """
+    global _kept
+    if _kept is not None:
+        (_, pool), _kept = _kept, None
+        pool.shutdown()
+
+
 def run_ablation(
     dataset: LabeledDataset,
     grid: list[SolverConfig],
@@ -138,40 +193,43 @@ def run_ablation(
 ) -> AblationReport:
     """Run solver -> affinity -> spectral -> error for every grid config.
 
-    Rows that raise are marked failed instead of aborting the sweep. Rows may
-    be computed in parallel (``workers`` threads) but the report always
-    follows grid order, so results are independent of scheduling.
+    Rows that raise are marked failed instead of aborting the sweep. With
+    ``workers`` > 1 the cells run on that many worker processes, forked on
+    the first such call and kept for later ones; the labels come back and
+    are scored here. The report always follows grid order, so results are
+    independent of scheduling. A worker process that dies raises
+    ``NumericError``, and the next call forks a fresh pool.
     """
     if dataset.labels is None:
         raise ConfigError("ablation requires ground-truth labels")
     as_count(workers, "workers")
 
-    def run_cell(cfg: SolverConfig) -> AblationRow:
-        start = perf_counter()
-        error, iterations, failure = None, 0, None
-        try:
-            result = solve(dataset.data, cfg)
-            affinity = build_affinity(result.coefficients, spectral.affinity_mode)
-            labels = spectral_cluster(affinity, spectral)
-            error = clustering_error(labels, dataset.labels)
-            iterations = result.iterations_used
-        except (ConfigError, DomainError, NumericError) as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-        return AblationRow(
-            model=cfg.model,
-            lam=cfg.lam,
-            s=cfg.s,
-            error_rate=error,
-            wall_time_seconds=perf_counter() - start,
-            iterations_used=iterations,
-            failure=failure,
-        )
-
-    if workers == 1:
-        rows = [run_cell(cfg) for cfg in grid]
+    pool = _grid_pool(workers) if workers > 1 else None
+    if pool is None:
+        cells = [_cell(dataset.data, spectral, cfg) for cfg in grid]
     else:
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, grid))
+        try:
+            # One cell a task: 2 or 6 a task measured slower on the N=150 grid.
+            cells = list(pool.map(_cell, repeat(dataset.data), repeat(spectral), grid, chunksize=1))
+        except BrokenProcessPool as exc:
+            _shutdown_pool()
+            raise NumericError(f"an ablation worker process died: {exc}") from exc
+
+    rows = []
+    for cfg, (labels, iterations, failure, seconds) in zip(grid, cells):
+        start = perf_counter()
+        error = None if failure is not None else clustering_error(labels, dataset.labels)
+        rows.append(
+            AblationRow(
+                model=cfg.model,
+                lam=cfg.lam,
+                s=cfg.s,
+                error_rate=error,
+                wall_time_seconds=seconds + perf_counter() - start,
+                iterations_used=iterations,
+                failure=failure,
+            )
+        )
     return AblationReport(rows)

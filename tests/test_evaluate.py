@@ -1,5 +1,8 @@
+import os
 import subprocess
 import sys
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from simplexsc import (
     ConfigError,
     DomainError,
+    NumericError,
     ShapeError,
     SolverConfig,
     SpectralConfig,
@@ -21,6 +25,7 @@ from simplexsc import (
     run_ablation,
     solve,
 )
+from simplexsc import evaluate
 
 from oracles import exhaustive_permutation_error
 
@@ -160,13 +165,95 @@ class TestRunAblation:
             for m in ("lsr", "nlsr", "slsr", "ssrsc")
             for lam in (0.001, 0.1)
         ]
+        grid.insert(3, SolverConfig(model="ssrsc", s=1e300))  # its iterates overflow
         spectral = SpectralConfig(n_clusters=2, affinity_mode="abs", seed=1)
         serial = run_ablation(small_dataset, grid, spectral, workers=1)
-        threaded = run_ablation(small_dataset, grid, spectral, workers=4)
-        assert [r.error_rate for r in serial.rows] == [r.error_rate for r in threaded.rows]
-        assert [r.iterations_used for r in serial.rows] == [
-            r.iterations_used for r in threaded.rows
-        ]
+        assert serial.rows[3].failure.startswith("DivergenceError")
+        for workers in (2, 4):
+            parallel = run_ablation(small_dataset, grid, spectral, workers=workers)
+            assert [replace(r, wall_time_seconds=0.0) for r in parallel.rows] == [
+                replace(r, wall_time_seconds=0.0) for r in serial.rows
+            ]
+
+    def test_every_cell_is_scored_in_the_caller(self, small_dataset, monkeypatch):
+        # The labels come back from the workers; clustering_error is looked
+        # up on the module at call time, so a patch sees every cell.
+        grid = [SolverConfig(model=m, lam=0.01) for m in ("lsr", "nlsr", "slsr", "ssrsc")]
+        spectral = SpectralConfig(n_clusters=2, affinity_mode="abs", seed=1)
+        seen = {1: [], 2: []}
+        for workers, labels in seen.items():
+
+            def capture(pred, truth, labels=labels):
+                labels.append(np.array(pred))
+                return clustering_error(pred, truth)
+
+            monkeypatch.setattr(evaluate, "clustering_error", capture)
+            run_ablation(small_dataset, grid, spectral, workers=workers)
+        assert len(seen[2]) == len(grid)
+        for parallel, serial in zip(seen[2], seen[1]):
+            np.testing.assert_array_equal(parallel, serial)
+
+    def test_the_pool_is_kept_and_replaced_for_another_size(self, small_dataset):
+        grid = [SolverConfig(model=m) for m in ("lsr", "ssrsc")]
+        spectral = SpectralConfig(n_clusters=2, seed=0)
+        run_ablation(small_dataset, grid, spectral, workers=2)
+        kept = evaluate._kept
+        run_ablation(small_dataset, grid, spectral, workers=2)
+        assert evaluate._kept is kept
+        run_ablation(small_dataset, grid, spectral, workers=3)
+        assert evaluate._kept[0] == 3 and evaluate._kept[1] is not kept[1]
+
+    def test_cells_run_in_process_while_other_threads_are_alive(self, small_dataset):
+        grid = [SolverConfig(model=m) for m in ("lsr", "ssrsc")]
+        spectral = SpectralConfig(n_clusters=2, seed=0)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            report = run_ablation(small_dataset, grid, spectral, workers=2)
+        finally:
+            release.set()
+            thread.join()
+        assert evaluate._kept is None
+        serial = run_ablation(small_dataset, grid, spectral, workers=1)
+        assert [r.error_rate for r in report.rows] == [r.error_rate for r in serial.rows]
+
+    def test_a_dead_worker_raises_and_the_next_call_forks_a_fresh_pool(self, small_dataset, monkeypatch):
+        grid = [SolverConfig(model=m) for m in ("lsr", "nlsr", "slsr", "ssrsc")]
+        spectral = SpectralConfig(n_clusters=2, seed=0)
+        caller = os.getpid()
+
+        def dying(x, cfg):
+            if os.getpid() != caller:  # only ever in a worker, never in the test's process
+                os._exit(3)
+            return solve(x, cfg)
+
+        assert threading.active_count() == 1, "the pool is forked only from a single-threaded process"
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluate, "solve", dying)  # before the pool forks, so the workers inherit it
+            with pytest.raises(NumericError, match="worker process died"):
+                run_ablation(small_dataset, grid, spectral, workers=2)
+        assert evaluate._kept is None
+        report = run_ablation(small_dataset, grid, spectral, workers=2)
+        serial = run_ablation(small_dataset, grid, spectral, workers=1)
+        assert [r.error_rate for r in report.rows] == [r.error_rate for r in serial.rows]
+
+    def test_the_pool_ends_with_the_process(self):
+        code = (
+            "import multiprocessing, simplexsc\n"
+            "data = simplexsc.generate_synthetic(simplexsc.SyntheticSpec(12, 2, 2, 10, 0.01, seed=3))\n"
+            "grid = [simplexsc.SolverConfig(model=m) for m in ('lsr', 'ssrsc')]\n"
+            "simplexsc.run_ablation(data, grid, simplexsc.SpectralConfig(n_clusters=2), workers=2)\n"
+            "print(*[child.pid for child in multiprocessing.active_children()])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        pids = [int(pid) for pid in proc.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_failed_row_is_marked_not_raised(self, small_dataset):
         # zero_diagonal at N=1 cannot happen here; instead force a numeric

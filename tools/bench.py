@@ -45,17 +45,29 @@ of the row-normalised spectral embedding that kmeans receives), fixed seeds:
 
 Each is timed best of 5 per call inside ``simplexsc.blas.single_blas_thread``.
 
+Grid inputs: ``run_ablation`` with the ``abs`` affinity and
+``SpectralConfig(k, seed)``, the dataset's seed, on 1 and on 2 workers:
+
+- N=150, ``fixture-grid``'s shape: the 20 acceptance fixtures
+  (``SyntheticSpec(30, 4, 3, 50, 0.05)``, seeds 0-19), 4 models x 3 lambdas;
+- N=1000: ``SyntheticSpec(40, 4, 4, 250, 0.05, seed=1)``, 4 models x 2 lambdas.
+
+One untimed pass per worker count comes first (it makes a kept pool, where
+the sources keep one); each timing is then the mean call over the inputs,
+best of 5.
+
 Everything runs on one BLAS thread (``OPENBLAS_NUM_THREADS=1`` unless set;
 the solver pins the BLAS to one thread itself). Each file gets the run under
 ``runs[NAME]``, next to the runs of other labels, with the core count and
 the BLAS thread count. SHA-256 digests let two labels be checked for the
 same output: ``BENCH_admm.json`` digests Z (its dense C-ordered form, also
 for a sparse Z) and the residual history and records the helper threads a
-solve started; ``BENCH_pipeline.json`` digests the labels and records the
-share of nonzero entries in Z and in the affinity; ``BENCH_kmeans.json``
-digests every returned label array and objective. ``--src`` imports
-simplexsc from another checkout's ``src`` directory, for example a copy of
-the parent commit.
+solve started; ``BENCH_pipeline.json`` digests the labels, records the
+share of nonzero entries in Z and in the affinity, and in its ``grid`` block
+digests every grid row's error rate, iterations and failure;
+``BENCH_kmeans.json`` digests every returned label array and objective.
+``--src`` imports simplexsc from another checkout's ``src`` directory, for
+example a copy of the parent commit.
 """
 
 from __future__ import annotations
@@ -90,6 +102,13 @@ SOLVER_CONSTANTS = ("RELAXATION", "BALANCE_FROM", "BALANCE_RATIO", "BALANCE_STEP
 # (name, N, k, inputs per timing, seed of the first input)
 KMEANS_SHAPES = (("grid-cell", 150, 3, 12, 0), ("large", 3000, 5, 1, 100), ("ten-clusters", 600, 10, 3, 200))
 KMEANS_NOISE = 0.35
+MODELS = ("lsr", "nlsr", "slsr", "ssrsc")
+# (name, SyntheticSpec arguments but the seed, seeds, lambdas)
+GRID_SHAPES = (
+    ("fixture-grid", (30, 4, 3, 50, 0.05), range(20), (0.001, 0.01, 0.1)),
+    ("n1000", (40, 4, 4, 250, 0.05), (1,), (0.01, 0.1)),
+)
+GRID_WORKERS = (1, 2)
 
 
 def with_helper_threads(call):
@@ -167,6 +186,14 @@ def blobs(n: int, k: int, seed: int) -> np.ndarray:
     return points / np.linalg.norm(points, axis=1, keepdims=True)
 
 
+def rows_digest(reports) -> str:
+    digest = hashlib.sha256()
+    for report in reports:
+        for row in report.rows:
+            digest.update(repr((row.error_rate, row.iterations_used, row.failure)).encode())
+    return digest.hexdigest()
+
+
 def write(name: str, label: str, run: dict) -> None:
     """Put run under runs[label] of BENCH_<name>.json, keeping the other labels' runs."""
     path = ROOT / f"BENCH_{name}.json"
@@ -184,7 +211,7 @@ def main() -> None:
     import simplexsc.solvers
     import simplexsc.spectral
     from simplexsc import SolverConfig, SpectralConfig, SyntheticSpec, generate_synthetic, pca_project
-    from simplexsc import build_affinity, kmeans, solve, spectral_cluster
+    from simplexsc import build_affinity, kmeans, run_ablation, solve, spectral_cluster
     from simplexsc.blas import controllable_openblas, single_blas_thread
 
     with single_blas_thread():
@@ -334,9 +361,32 @@ def main() -> None:
             }
             print(f"{args.label} k-means {name}: best {best_s * 1e3:.2f} ms per call")
 
+    grids = {}
+    for name, spec, seeds, lambdas in GRID_SHAPES:
+        inputs = [
+            (generate_synthetic(SyntheticSpec(*spec, seed=seed)), SpectralConfig(spec[2], affinity_mode="abs", seed=seed))
+            for seed in seeds
+        ]
+        grid = [SolverConfig(model=model, lam=lam) for model in MODELS for lam in lambdas]
+        grids[name] = {"n": spec[2] * spec[3], "d": spec[0], "datasets": len(inputs), "cells": len(grid)}
+        for workers in GRID_WORKERS:
+
+            def calls():
+                return [run_ablation(dataset, grid, spectral, workers=workers) for dataset, spectral in inputs]
+
+            digest = rows_digest(calls())
+            per_call = [seconds(calls) / len(inputs) for _ in range(REPEATS)]
+            best_s, median_s = best_and_median(per_call)
+            grids[name][f"workers_{workers}"] = {
+                "best_s_per_call": best_s,
+                "median_s_per_call": median_s,
+                "rows_sha256": digest,
+            }
+            print(f"{args.label} grid {name} on {workers} workers: best {best_s * 1e3:.1f} ms per call")
+
     solver = {"model": cfg.model, "max_iters": cfg.max_iters, "lam": cfg.lam, "rho": cfg.rho}
     write("admm", args.label, {**common, "solver": solver, "sizes": solves, **to_tolerance})
-    write("pipeline", args.label, {**common, "solver": solver, "affinity": "sym", "sizes": pipelines})
+    write("pipeline", args.label, {**common, "solver": solver, "affinity": "sym", "sizes": pipelines, "grid": grids})
     write("kmeans", args.label, {**common, "shapes": shapes})
 
 
