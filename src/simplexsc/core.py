@@ -86,9 +86,10 @@ class SolverConfig:
     OSQP's default; 1.8 took nlsr's worst certificate on the acceptance
     fixtures from 1.5e-4 to 1.95e-4). After the fifth iteration, ssrsc and
     slsr also try a certified jump to their exact optimum (see
-    ``solvers``): to tol 0.01, ssrsc at N=400 takes 7 iterations (106
-    relaxed, 167 balanced alone). A solve of at most 5 iterations is the
-    paper's fixed-penalty ADMM bit for bit.
+    ``solvers``), which the solve returns at once: to tol 0.01, ssrsc at
+    N=400 returns after 5 iterations (106 relaxed, 167 balanced alone). A
+    solve of at most 5 iterations is the paper's fixed-penalty ADMM bit for
+    bit.
     ``max_iters`` and ``tol`` bound the ADMM loop (residuals are compared
     with <=).
     ``zero_diagonal`` (ssrsc only) keeps every point out of its own

@@ -92,20 +92,13 @@ below the column's multiplier, up to a rounding slack (the Frank-Wolfe
 gap, Jaggi 2013, is then at rounding level). slsr's optimum has a closed
 form, L + a nu^T from the ridge at shift lam (``_hyperplane_jump``), and is
 always certified. nlsr has no jump: its Z is 55-59% nonzero. A certified
-jump puts the loop at the exact ADMM fixed point of the optimum Z*:
-Z^T = Z*^T, S^T empty, R = 0, P = V^T Z* and M = (2/rho) diag(s^2)
-(P - V^T), that is U* = (2/rho) X^T X (Z* - I), with which the C-step
-returns C = Z* and the Z-step projects Z* - 2/(2 lam + rho) (X^T X Z* -
-X^T X + lam Z*) back onto Z*. The next iterations then reproduce Z* as a
-Z-step output, so Z stays exactly feasible, and the standard rule stops
-the solve: converged still means all three residuals <= tol. Their rows
-measure real changes: the first row after the jump compares C_k+1 and
-Z_k+1 with the C_k and Z_k of before it (so the blocks of iteration k keep
-their dense part of Z_k - C_k, and the loop keeps Z_k's rows until then). To
-tol 0.01, ssrsc at N=400 and the zero-diagonal fixture (N=150) took 106
-and 67 iterations and now take 7, slsr 15 and now 7, with Frank-Wolfe gaps
-at rounding level. A solve of at most 5 iterations never tries a jump and
-keeps every bit.
+jump writes Z*'s rows over Z^T's row blocks, in place, and the solve
+returns Z* at once as converged: the history holds the rows of the
+iterations before the jump, and its last row may exceed tol. To tol 0.01,
+ssrsc at N=400 and the zero-diagonal fixture (N=150) took 106 and 67
+iterations and now return after 5, slsr after 5 instead of 15, with
+Frank-Wolfe gaps at rounding level. A solve of at most 5 iterations never
+tries a jump and keeps every bit.
 
 Solves run on one BLAS thread (see ``blas``), so their bits do not depend on
 the BLAS thread count. A solve of 4 blocks or more spreads its block tasks
@@ -181,7 +174,9 @@ class SolveResult:
 
     ``residual_history[k]`` holds (||C-Z||_F, ||C_k+1 - C_k||_F,
     ||Z_k+1 - Z_k||_F) for iteration k. ``converged`` is True when all three
-    fell to <= tol simultaneously within the iteration budget.
+    fell to <= tol simultaneously within the iteration budget, or when a
+    certified jump after iteration ``iterations_used`` returned the exact
+    optimum (see ``solvers``), whatever that iteration's row reads.
     """
 
     coefficients: np.ndarray | scipy.sparse.csc_array
@@ -312,9 +307,9 @@ def _squares(dz: np.ndarray, gap: np.ndarray, s_new: np.ndarray) -> list:
 # with which it returns the positive entries instead. The
 # jump (see _solve_admm) takes the kernel, cfg, the loop's row blocks of Z^T,
 # its block runner and the blocks, and returns a function that writes a row
-# block of the optimum's Z*^T into an array, or None if it could not certify
-# one; nlsr has none. Both name this module's globals, looked up at call
-# time, so that a tracer can swap them.
+# block of the optimum's Z*^T into an array and returns it, or None if it
+# could not certify one; nlsr has none. Both name this module's globals,
+# looked up at call time, so that a tracer can swap them.
 class _Model(NamedTuple):
     project: Callable
     jump: Callable | None
@@ -720,8 +715,8 @@ def _simplex_jump(kernel: PrecomputedKernel, cfg: SolverConfig, zt_blocks: list,
     if any(entries is None for entries in optima):
         return None
 
-    def write(v: np.ndarray, rows: slice) -> None:
-        _filled(v, optima[rows.start // PROJECTION_BLOCK])
+    def write(v: np.ndarray, rows: slice) -> np.ndarray:
+        return _filled(v, optima[rows.start // PROJECTION_BLOCK])
 
     return write
 
@@ -742,8 +737,8 @@ def _hyperplane_jump(kernel: PrecomputedKernel, cfg: SolverConfig, zt_blocks: li
     left = np.column_stack([vt.T * ridge, nu])  # Z*^T = L + nu a^T, L symmetric
     right = np.vstack([vt, a])
 
-    def write(v: np.ndarray, rows: slice) -> None:
-        np.matmul(left[rows], right, out=v)
+    def write(v: np.ndarray, rows: slice) -> np.ndarray:
+        return np.matmul(left[rows], right, out=v)
 
     return write
 
@@ -753,10 +748,11 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
 
     All iterates start at zero (see the module docstring for the algebra
     and the certified jump). Stops when the three residuals are
-    simultaneously <= tol, or after max_iters iterations. Returns Z, the
-    iterate that satisfies the model's constraints exactly, as the transpose
-    of the C-ordered Z^T (CSR for a sparse Z). Raises DivergenceError when
-    an iterate turns non-finite.
+    simultaneously <= tol, when a certified jump lands, or after max_iters
+    iterations. Returns Z, the iterate (or the optimum) that satisfies the
+    model's constraints exactly, as the transpose of the C-ordered Z^T (CSR
+    for a sparse Z). Raises DivergenceError when an iterate turns
+    non-finite.
     """
     if cfg.model != model:
         raise ConfigError(f"solve_{model} requires model {model!r}, got {cfg.model!r}")
@@ -784,34 +780,9 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
         c_change = float(np.linalg.norm(kernel.ridge))
         history: list[tuple[float, float, float]] = []
         converged = False
-        # Z_k's row blocks from before a jump, until the next row measures
-        # ||Z_k+1 - Z_k|| against them.
-        previous = None
         # Each block task reuses a (2, block, N) scratch: fresh pages for
         # every block cost more than the arithmetic at N = 400.
         with _block_runner(_block_threads(n), (2, min(n, PROJECTION_BLOCK), n)) as run:
-
-            def land(rows: slice, scratch: np.ndarray) -> float:
-                """Put Z*'s rows in Z^T and zeros in S^T, and the old rows in previous; ||Z* - Z_k + gap||^2."""
-                block = rows.start // PROJECTION_BLOCK
-                v, spare = scratch[:, : rows.stop - rows.start]
-                write(v, rows)
-                p_star[:, rows] = vt @ v.T
-                previous[block] = zt[block]
-                np.copyto(spare, v)
-                _apply(np.subtract, spare.reshape(-1), zt[block])
-                _apply(np.add, spare.reshape(-1), gaps[block])
-                gaps[block] = None
-                zt[block], st[block] = _kept(v, None, sparse), NO_ENTRIES
-                return np.vdot(spare, spare)
-
-            def moved(rows: slice, scratch: np.ndarray) -> float:
-                """||Z_k+1 - Z_k||^2 on one row block, Z_k from before the jump."""
-                block = rows.start // PROJECTION_BLOCK
-                v = _filled(scratch[0, : rows.stop - rows.start], zt[block])
-                _apply(np.subtract, v.reshape(-1), previous[block])
-                return np.vdot(v, v)
-
             for _ in range(cfg.max_iters):
                 w = _c_step_factor(kernel, p + r + m)
                 # alpha - 1: 0 for the first BALANCE_FROM iterations, which
@@ -820,9 +791,6 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 # V's coefficients in C_hat - U: W, or (alpha - 1) M + alpha W.
                 w_hat = excess * m + (1.0 + excess) * w if excess else w
                 p_next = np.empty_like(vt)
-                # Before a jump the blocks keep their dense part of Z_k - C_k.
-                k = len(history) + 1
-                gaps = [None] * len(blocks) if jump and _attempts_after(k) and k < cfg.max_iters else None
 
                 def step(rows: slice, scratch: np.ndarray) -> list:
                     """Z-step and dual step on one row block of Z^T and S^T; its squared norms and columns of P.
@@ -871,9 +839,6 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                         s_at = _at(flat, at, s_old)
                         s_next = dz - excess * s_at if excess else dz
                         gap = dz - s_at
-                        if gaps is not None:
-                            nonzero = gap != 0
-                            gaps[block] = (union[nonzero], gap[nonzero])
                         squares = _squares(dz, gap, s_next)
                         stored = s_next != 0
                         zt[block], st[block] = z_new, (union[stored], s_next[stored])
@@ -891,8 +856,6 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                             s_next += dz
                         else:
                             np.copyto(s_next, dz)
-                        if gaps is not None:
-                            gaps[block] = _kept(gap, None)
                         squares = _squares(dz, gap, s_next)
                         st[block] = _kept(s_next, s_next, sparse)
                     p_next[:, rows] = _columns(zt[block], vt, v_rows, rows.stop - rows.start)
@@ -911,17 +874,26 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 # the check raises on (c_change in the next row).
                 with np.errstate(invalid="ignore", over="ignore"):
                     row = (_split_norm(gap_sq, dr, dr - (m + w)), c_change, float(np.sqrt(dz_sq)))
-                if previous is not None:  # after a jump, Z_k+1 - Z_k against the Z_k before it
-                    row = (*row[:2], float(np.sqrt(sum(run(moved, blocks)))))
-                    previous = None
                 if not np.all(np.isfinite(row)):
                     raise DivergenceError("ADMM iterates became non-finite")
                 history.append(row)
                 converged = max(row) <= cfg.tol
                 if converged:
                     break
-                if gaps is not None:  # C_k = Z_k - gap + V(M + W), gap the blocks' dZ - S
-                    before = (dr.copy(), m + w)
+                k = len(history)
+                if jump and _attempts_after(k) and k < cfg.max_iters:
+                    optimum = jump(kernel, cfg, zt, run, blocks)
+                    if optimum is not None:  # certified: Z*'s rows over Z's, in place, and Z* is the result
+                        zt[:] = run(
+                            lambda rows, scratch: _kept(
+                                optimum(scratch[0, : rows.stop - rows.start], rows),
+                                zt[rows.start // PROJECTION_BLOCK],
+                                sparse,
+                            ),
+                            blocks,
+                        )
+                        converged = True
+                        break
                 if excess:
                     dr -= excess * r
                 rho_next, f = rho, 1.0
@@ -955,24 +927,6 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 if f != 1.0:
                     r *= f
                     m *= f
-                if gaps is not None:
-                    write = jump(kernel, cfg, zt, run, blocks)
-                    if write is not None:
-                        p_star, previous = np.empty_like(vt), [None] * len(blocks)
-                        d_sq = sum(run(land, blocks))
-                        gaps = write = None
-                        # The fixed point of the next iteration: U* = (2/rho) X^T X (Z* - I), all in V.
-                        m_star = (2.0 / rho) * kernel.squared[:, None] * (p_star - vt)
-                        # C_k+1 - C_k = (Z* - Z_k + gap) + V(M* + W* - M - W), C_k+1 the next C-step's.
-                        vtd = p_star - p
-                        vtd += before[0]
-                        inside = _c_step_factor(kernel, p_star + m_star)
-                        inside += m_star - before[1] + vtd
-                        c_change = _split_norm(d_sq, vtd, inside)
-                        p, m = p_star, m_star
-                        r.fill(0.0)
-                        jump = None  # landed: no further attempt
-                    gaps = before = write = vtd = inside = None
         st.clear()  # room for assembling Z
         z = _assembled(zt, n, sparse and n >= spectral.SPARSE_EIGEN_MIN_N)
     return SolveResult(coefficients=z, residual_history=history, converged=converged)

@@ -121,7 +121,7 @@ def _project_columns_simplex(v, s):
     return np.maximum(v + beta[None, :], 0.0)
 
 
-def admm_with_inverse(x, inverse, model, lam, s, rho, iters, jump=None):
+def admm_with_inverse(x, inverse, model, lam, s, rho, iters):
     """``iters`` scaled-form ADMM steps for nlsr/slsr/ssrsc through explicit ridge inverses.
 
     ``inverse(shift)`` returns (X^T X + shift*I)^{-1}. From all-zero
@@ -137,15 +137,10 @@ def admm_with_inverse(x, inverse, model, lam, s, rho, iters, jump=None):
     take the over-relaxed 1.6 C + (1 - 1.6) Z_prev in place of C (Boyd et
     al. 2011, 3.4.3). Returns Z and, per step, the dense norms
     (||Z - C||, ||C - C_prev||, ||Z - Z_prev||), all with the unrelaxed C.
-
-    ``jump`` = (k, optimum) restarts the recursion after step k (and its
-    balancing) from the fixed point of the optimum: Z = optimum and
-    U = (2/rho) X^T X (optimum - I), which makes C = Z. The next row still
-    measures its changes from step k's C and Z.
     """
     gram = x.T @ x
     n = gram.shape[0]
-    z = z_row = np.zeros((n, n))
+    z = np.zeros((n, n))
     u = np.zeros((n, n))
     c_prev = np.zeros((n, n))
     cap = 4.0 * rho
@@ -162,10 +157,9 @@ def admm_with_inverse(x, inverse, model, lam, s, rho, iters, jump=None):
         else:
             z_next = _project_columns_simplex(v, s)
         u += z_next - relaxed
-        primal, dual = np.linalg.norm(z_next - c), rho * np.linalg.norm(z_next - z_row)
-        history.append((primal, np.linalg.norm(c - c_prev), np.linalg.norm(z_next - z_row)))
-        z = z_row = z_next
-        c_prev = c
+        primal, dual = np.linalg.norm(z_next - c), rho * np.linalg.norm(z_next - z)
+        history.append((primal, np.linalg.norm(c - c_prev), np.linalg.norm(z_next - z)))
+        z, c_prev = z_next, c
         if 5 <= step < iters:
             balanced = rho
             if primal > 10.0 * dual:
@@ -176,9 +170,6 @@ def admm_with_inverse(x, inverse, model, lam, s, rho, iters, jump=None):
                 u *= rho / balanced
                 rho = balanced
                 ridge_inverse = inverse(rho / 2.0)
-        if jump is not None and step == jump[0] < iters:
-            z = jump[1]
-            u = 2.0 / rho * gram @ (z - np.eye(n))
     return z, history
 
 

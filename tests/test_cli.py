@@ -77,6 +77,14 @@ class TestPipelineCommand:
             "error_rate", "labels",
         ]
 
+    def test_converged_can_follow_a_last_row_above_tol(self, tmp_path):
+        # To tol 0.01, ssrsc returns the optimum of a certified jump after iteration 5.
+        out = tmp_path / "result.txt"
+        assert main(FIXTURE + ["--iters", "500", "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert "iterations_used: 5" in lines and "converged: true" in lines
+        assert max(float(value) for value in lines[-1].split()) > 0.01
+
     def test_document_records_the_k_means_seed(self, tmp_path):
         out = tmp_path / "result.txt"
         manifest = RunManifest(

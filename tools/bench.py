@@ -150,7 +150,7 @@ def with_jump(solvers, model: str, call):
         result = call()
     finally:
         table[model] = entry
-    attempts = [k for k in range(1, result.iterations_used) if solvers._attempts_after(k)]
+    attempts = [k for k in range(1, result.iterations_used + 1) if solvers._attempts_after(k)]
     return next((k for k, ok in zip(attempts, landed) if ok), None), result
 
 
