@@ -1013,6 +1013,33 @@ class TestCertifiedJump:
         assert jumped.iterations_used == 5
         assert jumped.residual_history == plain.residual_history[:5]
 
+    @pytest.mark.parametrize(
+        "model, shape",
+        [("ssrsc", (6, 40)), ("slsr", (6, 40)), ("ssrsc", (5, 257)), ("slsr", (5, 257))],
+        ids=["ssrsc", "slsr", "ssrsc sparse N=257", "slsr N=257"],
+    )
+    def test_rows_after_the_jump_measure_the_real_changes(self, model, shape, jump_calls):
+        # A landed jump returns Z* at once, so no ADMM row follows it: the
+        # history is explicit ADMM's five rows, the last of which compares Z_5
+        # with Z_4, and the one change after it, Z_5 -> Z*, is the certified
+        # optimum's.
+        x = np.random.default_rng(65).standard_normal(shape)
+        cfg = SolverConfig(model=model, max_iters=9, tol=1e-300)
+        result = solve(x, cfg)
+        assert jump_calls == [True]
+        assert result.converged and result.iterations_used == 5
+        _, reference = admm_with_inverse(
+            x, lambda shift: regularized_gram_inverse(x, shift, mode="direct"), model, cfg.lam, cfg.s, cfg.rho, 5
+        )
+        history = np.array(result.residual_history)
+        assert history.shape == (5, 3)
+        np.testing.assert_allclose(history, reference, rtol=1e-9, atol=1e-13)
+        z4, z5 = (dense(solve(x, SolverConfig(model=model, max_iters=k, tol=1e-300)).coefficients) for k in (4, 5))
+        np.testing.assert_allclose(history[4, 2], frobenius_distance(z5, z4), rtol=1e-12)
+        z = dense(result.coefficients)
+        certify = simplex_certificate if model == "ssrsc" else hyperplane_certificate
+        assert abs(certify(x, z, cfg.lam, cfg.s)) <= 1e-9 < abs(certify(x, z5, cfg.lam, cfg.s))
+
     @pytest.mark.parametrize("model, n", [("ssrsc", 40), ("ssrsc", 400), ("slsr", 40), ("nlsr", 40)])
     def test_no_attempt_within_five_iterations(self, model, n, jump_calls):
         x = generate_synthetic(SyntheticSpec(40, 4, 4, n // 4, 0.01, seed=1)).data
