@@ -84,12 +84,13 @@ class SolverConfig:
     loosens the ||Z_k+1 - Z_k|| stopping test; and the Z-step and the dual
     step take the over-relaxed 1.6*C + (1 - 1.6)*Z_k (``solvers.RELAXATION``,
     OSQP's default; 1.8 took nlsr's worst certificate on the acceptance
-    fixtures from 1.5e-4 to 1.95e-4). After the fifth iteration, ssrsc and
-    slsr also try a certified jump to their exact optimum (see
-    ``solvers``), which the solve returns at once: to tol 0.01, ssrsc at
-    N=400 returns after 5 iterations (106 relaxed, 167 balanced alone). A
-    solve of at most 5 iterations is the paper's fixed-penalty ADMM bit for
-    bit.
+    fixtures from 1.5e-4 to 1.95e-4). In a solve of more than 5
+    iterations, ssrsc and slsr also try a certified jump to their exact
+    optimum before the first iteration and, until one lands, after
+    iterations 5, 10, 20, ... (see ``solvers``); the solve returns it at
+    once: to tol 0.01, ssrsc at N=400 returns after 0 iterations (106
+    relaxed, 167 balanced alone). A solve of at most 5 iterations is the
+    paper's fixed-penalty ADMM bit for bit.
     ``max_iters`` and ``tol`` bound the ADMM loop (residuals are compared
     with <=).
     ``zero_diagonal`` (ssrsc only) keeps every point out of its own

@@ -76,29 +76,33 @@ comes back as a ``scipy.sparse`` CSC array, the transpose of the stacked
 Z^T, for ssrsc from ``SPARSE_EIGEN_MIN_N`` points on (the spectral stage's
 threshold), and as a dense array otherwise.
 
-ADMM is early-stopped by design (the paper's 5 iterations), but a solve
-to tolerance ends at an optimum that an active set can find exactly
-(OSQP's solution polishing, Stellato et al. 2020). So after iteration 5 of
-a solve that has not converged and may go on, ssrsc and slsr try one
-certified jump (their ``jump`` in the model table), and if it is not
-certified, again after iterations 10, 20, 40, ... (``_attempts_after``).
-ssrsc's attempt (``_simplex_optimum``) is a batched primal active set per
-256-column block, from Z's supports, on G = B^T B with B = diag(s) V^T
-(no second SVD, no N x N Gram matrix); a block whose widest support would
-need systems wider than sqrt(2N) (k x k, or r x r when r < k) skips it,
-which keeps them within about one block scratch. It is certified when
-every column's entries are positive and no outsider's half-gradient lies
-below the column's multiplier, up to a rounding slack (the Frank-Wolfe
-gap, Jaggi 2013, is then at rounding level). slsr's optimum has a closed
-form, L + a nu^T from the ridge at shift lam (``_hyperplane_jump``), and is
-always certified. nlsr has no jump: its Z is 55-59% nonzero. A certified
-jump writes Z*'s rows over Z^T's row blocks, in place, and the solve
-returns Z* at once as converged: the history holds the rows of the
-iterations before the jump, and its last row may exceed tol. To tol 0.01,
-ssrsc at N=400 and the zero-diagonal fixture (N=150) took 106 and 67
-iterations and now return after 5, slsr after 5 instead of 15, with
-Frank-Wolfe gaps at rounding level. A solve of at most 5 iterations never
-tries a jump and keeps every bit.
+ADMM is early-stopped by design (the paper's 5 iterations), but a solve to
+tolerance ends at an optimum that an active set can find exactly (OSQP's
+solution polishing, Stellato et al. 2020). So a solve of more than 5
+iterations has ssrsc and slsr try one certified jump (their ``jump`` in
+the model table) before its first iteration, and if it is not certified,
+again after iterations 5, 10, 20, 40, ... while the solve has not
+converged and may go on (``_attempts_after``). ssrsc's attempt
+(``_simplex_optimum``) is a batched primal active set per 256-column block
+on G = B^T B with B = diag(s) V^T (no second SVD, no N x N Gram matrix),
+from Z's supports, or before the first iteration from each column's
+START_SUPPORT largest correlations b_i^T b_j (i != j with
+``zero_diagonal``) at s/m each (``_correlated_start``, after You, Robinson
+and Vidal 2016); a block whose widest support would need systems wider
+than sqrt(2N) (k x k, or r x r when r < k) skips it, which keeps them
+within about one block scratch. It is certified when every column's
+entries are positive and no outsider's half-gradient lies below the
+column's multiplier, up to a rounding slack (the Frank-Wolfe gap, Jaggi
+2013, is then at rounding level). slsr's optimum has a closed form, L + a
+nu^T from the ridge at shift lam (``_hyperplane_jump``), and is always
+certified. nlsr has no jump: its Z is 55-59% nonzero. A certified jump
+writes Z*'s rows over Z^T's row blocks, in place, and the solve returns Z*
+at once as converged: the history holds the rows of the iterations before
+the jump (none when it landed before the first), and its last row may
+exceed tol. To tol 0.01, ssrsc at N=400 and the zero-diagonal fixture
+(N=150), which plain ADMM takes 106 and 67 iterations, and slsr (15) now
+land before iteration 1, with Frank-Wolfe gaps at rounding level. A solve
+of at most 5 iterations never tries a jump and keeps every bit.
 
 Solves run on one BLAS thread (see ``blas``), so their bits do not depend on
 the BLAS thread count. A solve of 4 blocks or more spreads its block tasks
@@ -143,9 +147,12 @@ BALANCE_CAP = 4.0
 # RELAXATION * C + (1 - RELAXATION) * Z_k for the C-step's C.
 RELAXATION = 1.6
 # A certified jump to the exact optimum (see the module docstring) is tried
-# after iterations BALANCE_FROM, 2 * BALANCE_FROM, 4 * BALANCE_FROM, ...
-# until one lands, ssrsc's with at most POLISH_ROUNDS gradient passes.
+# before the first iteration and after iterations BALANCE_FROM,
+# 2 * BALANCE_FROM, 4 * BALANCE_FROM, ... until one lands, ssrsc's with at
+# most POLISH_ROUNDS gradient passes. Before the first iteration ssrsc
+# starts each column from its START_SUPPORT largest correlations.
 POLISH_ROUNDS = 4
+START_SUPPORT = 4
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,9 @@ class SolveResult:
     ||Z_k+1 - Z_k||_F) for iteration k. ``converged`` is True when all three
     fell to <= tol simultaneously within the iteration budget, or when a
     certified jump after iteration ``iterations_used`` returned the exact
-    optimum (see ``solvers``), whatever that iteration's row reads.
+    optimum (see ``solvers``), whatever that iteration's row reads; 0
+    iterations with ``converged`` mean a certified optimum before any
+    iteration (the history is empty).
     """
 
     coefficients: np.ndarray | scipy.sparse.csc_array
@@ -537,9 +546,9 @@ def _assembled(blocks: list, n: int, sparse: bool):
 
 
 def _attempts_after(k: int) -> bool:
-    """Whether a jump is tried after iteration k: k = BALANCE_FROM * 2^j."""
+    """Whether a jump is tried after iteration k: k = 0 (before the first) or k = BALANCE_FROM * 2^j."""
     q, rest = divmod(k, BALANCE_FROM)
-    return q > 0 and rest == 0 and q & (q - 1) == 0
+    return k == 0 or (rest == 0 and q & (q - 1) == 0)
 
 
 def _ridge_solves(gathered: np.ndarray, target: np.ndarray, mask: np.ndarray, lam: float):
@@ -698,8 +707,32 @@ def _simplex_optimum(b: np.ndarray, bt: np.ndarray, cfg: SolverConfig, entries, 
     return None
 
 
+def _correlated_start(b: np.ndarray, cfg: SolverConfig, rows: slice, g: np.ndarray):
+    """A feasible start for ssrsc's columns rows, as entries: s/m at each column's m largest correlations.
+
+    The correlations of column j are its column of G = B^T B (b_i^T b_j,
+    without i = j under ``zero_diagonal``), taken by one GEMM into g, a
+    (rows, N) scratch. m is START_SUPPORT, capped at the column's
+    candidates (N, or N - 1 with ``zero_diagonal``).
+    """
+    n = b.shape[1]
+    count = rows.stop - rows.start
+    np.matmul(b[:, rows].T, b, out=g)
+    if cfg.zero_diagonal:
+        g[np.arange(count), rows.start + np.arange(count)] = -np.inf
+    m = max(1, min(START_SUPPORT, n - cfg.zero_diagonal))
+    top = np.argpartition(g, n - m, axis=1)[:, n - m :]
+    top.sort(axis=1)
+    positions = (np.arange(count)[:, None] * n + top).reshape(-1)
+    return positions, np.full(positions.size, cfg.s / m)
+
+
 def _simplex_jump(kernel: PrecomputedKernel, cfg: SolverConfig, zt_blocks: list, run, blocks: list):
-    """ssrsc's certified optimum: writes its rows of Z*^T into a block, or None if a block is not certified."""
+    """ssrsc's certified optimum: writes its rows of Z*^T into a block, or None if a block is not certified.
+
+    A block with entries starts the active set from them; one without
+    (before the first iteration) from its columns' largest correlations.
+    """
     b = np.sqrt(kernel.squared)[:, None] * kernel.vt
     bt = np.zeros((b.shape[1] + 1, b.shape[0]))  # B^T and a row of zeros for _restricted_optima
     bt[:-1] = b.T
@@ -709,6 +742,8 @@ def _simplex_jump(kernel: PrecomputedKernel, cfg: SolverConfig, zt_blocks: list,
         if isinstance(block, np.ndarray):
             support = np.flatnonzero(block)
             block = (support, block.reshape(-1)[support])
+        if not block[0].size:
+            block = _correlated_start(b, cfg, rows, scratch[0, : rows.stop - rows.start])
         return _simplex_optimum(b, bt, cfg, block, rows.start, scratch)
 
     optima = run(attempt, blocks)
@@ -746,13 +781,13 @@ def _hyperplane_jump(kernel: PrecomputedKernel, cfg: SolverConfig, zt_blocks: li
 def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
     """ADMM for a constrained model in scaled form on Z^T, S^T and r x N factors.
 
-    All iterates start at zero (see the module docstring for the algebra
-    and the certified jump). Stops when the three residuals are
-    simultaneously <= tol, when a certified jump lands, or after max_iters
-    iterations. Returns Z, the iterate (or the optimum) that satisfies the
-    model's constraints exactly, as the transpose of the C-ordered Z^T (CSR
-    for a sparse Z). Raises DivergenceError when an iterate turns
-    non-finite.
+    All iterates start at zero (see the module docstring for the algebra and
+    the certified jump). Stops when the three residuals are simultaneously
+    <= tol, when a certified jump lands (before the first iteration or after
+    a later one), or after max_iters iterations. Returns Z, the iterate (or
+    the optimum) that satisfies the model's constraints exactly, as the
+    transpose of the C-ordered Z^T (CSR for a sparse Z). Raises
+    DivergenceError when an iterate turns non-finite.
     """
     if cfg.model != model:
         raise ConfigError(f"solve_{model} requires model {model!r}, got {cfg.model!r}")
@@ -784,6 +819,19 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
         # every block cost more than the arithmetic at N = 400.
         with _block_runner(_block_threads(n), (2, min(n, PROJECTION_BLOCK), n)) as run:
             for _ in range(cfg.max_iters):
+                if jump and cfg.max_iters > BALANCE_FROM and _attempts_after(len(history)):
+                    optimum = jump(kernel, cfg, zt, run, blocks)
+                    if optimum is not None:  # certified: Z*'s rows over Z's, in place, and Z* is the result
+                        zt[:] = run(
+                            lambda rows, scratch: _kept(
+                                optimum(scratch[0, : rows.stop - rows.start], rows),
+                                zt[rows.start // PROJECTION_BLOCK],
+                                sparse,
+                            ),
+                            blocks,
+                        )
+                        converged = True
+                        break
                 w = _c_step_factor(kernel, p + r + m)
                 # alpha - 1: 0 for the first BALANCE_FROM iterations, which
                 # then keep the unrelaxed bits.
@@ -880,20 +928,6 @@ def _solve_admm(x, cfg: SolverConfig, model: str) -> SolveResult:
                 converged = max(row) <= cfg.tol
                 if converged:
                     break
-                k = len(history)
-                if jump and _attempts_after(k) and k < cfg.max_iters:
-                    optimum = jump(kernel, cfg, zt, run, blocks)
-                    if optimum is not None:  # certified: Z*'s rows over Z's, in place, and Z* is the result
-                        zt[:] = run(
-                            lambda rows, scratch: _kept(
-                                optimum(scratch[0, : rows.stop - rows.start], rows),
-                                zt[rows.start // PROJECTION_BLOCK],
-                                sparse,
-                            ),
-                            blocks,
-                        )
-                        converged = True
-                        break
                 if excess:
                     dr -= excess * r
                 rho_next, f = rho, 1.0

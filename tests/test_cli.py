@@ -20,6 +20,7 @@ from simplexsc import (
     solve,
     spectral_cluster,
 )
+from simplexsc import solvers
 from simplexsc.cli import RunManifest, build_parser, main, parse_synthetic_spec, run_pipeline
 from simplexsc.core import AFFINITY_MODES, MODELS, ConfigError, NumericError
 
@@ -77,13 +78,31 @@ class TestPipelineCommand:
             "error_rate", "labels",
         ]
 
-    def test_converged_can_follow_a_last_row_above_tol(self, tmp_path):
-        # To tol 0.01, ssrsc returns the optimum of a certified jump after iteration 5.
+    def test_converged_can_follow_a_last_row_above_tol(self, tmp_path, monkeypatch):
+        # To tol 0.01, with the jump before iteration 1 not certified, ssrsc
+        # returns the optimum of a certified jump after iteration 5.
+        entry = solvers._ADMM_MODELS["ssrsc"]
+        attempts = []
+
+        def first_fails(*args):
+            attempts.append(args)
+            return None if len(attempts) == 1 else entry.jump(*args)
+
+        monkeypatch.setitem(solvers._ADMM_MODELS, "ssrsc", entry._replace(jump=first_fails))
         out = tmp_path / "result.txt"
         assert main(FIXTURE + ["--iters", "500", "--output", str(out)]) == 0
         lines = out.read_text().splitlines()
+        assert len(attempts) == 2
         assert "iterations_used: 5" in lines and "converged: true" in lines
         assert max(float(value) for value in lines[-1].split()) > 0.01
+
+    def test_a_jump_before_the_first_iteration_leaves_no_residual_rows(self, tmp_path):
+        # To tol 0.01, ssrsc returns the optimum of a certified jump before iteration 1.
+        out = tmp_path / "result.txt"
+        assert main(FIXTURE + ["--iters", "500", "--output", str(out)]) == 0
+        text = out.read_text()
+        assert "\niterations_used: 0\nconverged: true\n" in text
+        assert text.endswith("\nresiduals:\n")
 
     def test_document_records_the_k_means_seed(self, tmp_path):
         out = tmp_path / "result.txt"

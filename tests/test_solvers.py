@@ -183,10 +183,10 @@ class TestSsrsc:
         cfg = SolverConfig(model="ssrsc", max_iters=500, tol=0.01)
         result = solve_ssrsc(x, cfg)
         assert result.converged
-        assert (
-            max(result.residual_history[-1]) <= cfg.tol
-            or simplex_certificate(x, result.coefficients, cfg.lam, cfg.s) <= 1e-9
-        )
+        history = result.residual_history
+        assert (history and max(history[-1]) <= cfg.tol) or simplex_certificate(
+            x, result.coefficients, cfg.lam, cfg.s
+        ) <= 1e-9
 
     def test_objective_dominates_random_feasible(self):
         rng = np.random.default_rng(10)
@@ -371,9 +371,10 @@ class TestResidualBalancing:
         [("ssrsc", 120), ("zero_diagonal", 75), ("nlsr", 35), ("slsr", 17)],
         ids=["ssrsc", "zero-diagonal", "nlsr", "slsr"],
     )
-    def test_to_tolerance_takes_fewer_iterations(self, model, budget):
+    def test_to_tolerance_takes_fewer_iterations(self, model, budget, plain_admm):
         # At the fixed rho 0.5 the ssrsc and zero-diagonal solves took 577 and
         # 307 iterations; balanced but not relaxed, these took 167, 94, 41 and 20.
+        # Without the jump, which ends the ssrsc and slsr solves before iteration 1.
         zero_diagonal = model == "zero_diagonal"
         spec = SyntheticSpec(30, 4, 3, 50, 0.05, 1) if zero_diagonal else SyntheticSpec(40, 4, 4, 100, 0.01, 1)
         x = generate_synthetic(spec).data
@@ -924,6 +925,25 @@ def plain_solve(monkeypatch, x, cfg):
         return solve(x, cfg)
 
 
+def before_the_first_iteration(zt_blocks):
+    """Whether the loop's row blocks of Z^T are still the zero start: no iteration has run."""
+    return not any(np.any(b) if isinstance(b, np.ndarray) else b[0].size for b in zt_blocks)
+
+
+def solve_without_the_first_attempt(monkeypatch, x, cfg):
+    """solve(x, cfg) with the jump tried before the first iteration failing, as if not certified.
+
+    The later attempts run the table's jump entries (jump_calls records
+    them, the first not).
+    """
+    with monkeypatch.context() as patch:
+        for model, entry in solvers._ADMM_MODELS.items():
+            if entry.jump is not None:
+                failing = lambda *args, jump=entry.jump: None if before_the_first_iteration(args[2]) else jump(*args)
+                patch.setitem(solvers._ADMM_MODELS, model, entry._replace(jump=failing))
+        return solve(x, cfg)
+
+
 TOLERANCE_INPUTS = {
     # solve-to-tol's inputs: ssrsc and slsr at N=400 (two row blocks, so ssrsc
     # takes the sparse route) and zero-diagonal ssrsc on the N=150 fixture.
@@ -933,8 +953,20 @@ TOLERANCE_INPUTS = {
 }
 
 
+def certificate_of(x, z, cfg):
+    """The optimality certificate of z for cfg's model: ssrsc's (zero-diagonal) Frank-Wolfe gap or slsr's (f - f*)/f*."""
+    if cfg.model == "slsr":
+        return hyperplane_certificate(x, z, cfg.lam, cfg.s)
+    certify = zero_diagonal_simplex_certificate if cfg.zero_diagonal else simplex_certificate
+    return certify(x, z, cfg.lam, cfg.s)
+
+
 class TestCertifiedJump:
-    """After iteration 5, 10, 20, ... ssrsc and slsr try a jump to their exact optimum and return it once certified."""
+    """Before iteration 1 and after iterations 5, 10, 20, ... ssrsc and slsr try a jump to their exact optimum.
+
+    A solve of at most 5 iterations never tries one; a certified jump returns
+    the optimum at once.
+    """
 
     @pytest.mark.parametrize("name", sorted(TOLERANCE_INPUTS))
     def test_to_tolerance_solves_land_on_the_optimum(self, name, jump_calls, monkeypatch):
@@ -944,24 +976,24 @@ class TestCertifiedJump:
         assert solvers._sparse_route(cfg.model, x.shape[1]) == (name == "ssrsc N=400")
         result = solve(x, cfg)
         z = dense(result.coefficients)
-        # One certified attempt after the fifth iteration returns Z* at once:
-        # the history is the plain solve's first five rows, the last above tol.
+        # One certified attempt before the first iteration returns Z* at
+        # once, with an empty history.
         assert jump_calls == [True]
-        assert result.converged and result.iterations_used == 5
-        assert max(result.residual_history[-1]) > cfg.tol
-        plain = plain_solve(monkeypatch, x, cfg)
-        assert plain.iterations_used > 5
-        assert result.residual_history == plain.residual_history[:5]
-        certificate = {
-            "ssrsc N=400": lambda: simplex_certificate(x, z, cfg.lam, cfg.s),
-            "zero-diagonal N=150": lambda: zero_diagonal_simplex_certificate(x, z, cfg.lam, cfg.s),
-            "slsr N=400": lambda: hyperplane_certificate(x, z, cfg.lam, cfg.s),
-        }[name]()
-        assert abs(certificate) <= 1e-9
+        assert result.converged and result.iterations_used == 0 and result.residual_history == []
+        assert plain_solve(monkeypatch, x, cfg).iterations_used > 5
+        assert abs(certificate_of(x, z, cfg)) <= 1e-9
         if cfg.model == "ssrsc":
             assert z.min() >= 0 and np.abs(z.sum(axis=0) - cfg.s).max() <= 1e-12
         if cfg.zero_diagonal:
             assert np.all(np.diag(z) == 0)
+        # The jump after iteration 5, from ADMM's supports, lands on the same
+        # optimum; slsr's closed form does not read the iterates at all.
+        later = solve_without_the_first_attempt(monkeypatch, x, cfg)
+        assert jump_calls == [True, True] and later.iterations_used == 5
+        if cfg.model == "slsr":
+            np.testing.assert_array_equal(dense(later.coefficients), z)
+        else:
+            assert np.abs(dense(later.coefficients) - z).max() <= 1e-12
 
     def test_slsr_lands_on_the_closed_form_optimum(self):
         x = np.random.default_rng(66).standard_normal((6, 60))
@@ -1004,13 +1036,16 @@ class TestCertifiedJump:
             np.testing.assert_allclose(zt.reshape(n, n).T, expected, rtol=0, atol=1e-9)
 
     def test_history_before_the_jump_is_the_plain_solve(self, monkeypatch):
+        # Landed before iteration 1, the history is empty; landed after
+        # iteration 5, it is the plain solve's first five rows.
         spec, _ = TOLERANCE_INPUTS["ssrsc N=400"]
         x = generate_synthetic(spec).data
         cfg = SolverConfig(tol=0.01, max_iters=5000)
-        jumped = solve(x, cfg)
         plain = plain_solve(monkeypatch, x, cfg)
         assert plain.iterations_used > 100
-        assert jumped.iterations_used == 5
+        assert solve(x, cfg).residual_history == []
+        jumped = solve_without_the_first_attempt(monkeypatch, x, cfg)
+        assert jumped.converged and jumped.iterations_used == 5
         assert jumped.residual_history == plain.residual_history[:5]
 
     @pytest.mark.parametrize(
@@ -1018,14 +1053,15 @@ class TestCertifiedJump:
         [("ssrsc", (6, 40)), ("slsr", (6, 40)), ("ssrsc", (5, 257)), ("slsr", (5, 257))],
         ids=["ssrsc", "slsr", "ssrsc sparse N=257", "slsr N=257"],
     )
-    def test_rows_after_the_jump_measure_the_real_changes(self, model, shape, jump_calls):
-        # A landed jump returns Z* at once, so no ADMM row follows it: the
-        # history is explicit ADMM's five rows, the last of which compares Z_5
-        # with Z_4, and the one change after it, Z_5 -> Z*, is the certified
-        # optimum's.
+    def test_rows_after_the_jump_measure_the_real_changes(self, model, shape, jump_calls, monkeypatch):
+        # A landed jump returns Z* at once, so no ADMM row follows it. When
+        # the attempt before iteration 1 fails and the one after iteration 5
+        # lands, the history is explicit ADMM's five rows, the last of which
+        # compares Z_5 with Z_4, and the one change after it, Z_5 -> Z*, is
+        # the certified optimum's.
         x = np.random.default_rng(65).standard_normal(shape)
         cfg = SolverConfig(model=model, max_iters=9, tol=1e-300)
-        result = solve(x, cfg)
+        result = solve_without_the_first_attempt(monkeypatch, x, cfg)
         assert jump_calls == [True]
         assert result.converged and result.iterations_used == 5
         _, reference = admm_with_inverse(
@@ -1046,28 +1082,51 @@ class TestCertifiedJump:
         for k in range(1, 6):
             assert solve(x, SolverConfig(model=model, max_iters=k, tol=1e-300)).iterations_used == k
         assert jump_calls == []
-        solve(x, SolverConfig(model=model, max_iters=6, tol=1e-300))
+        # A budget of 6 tries one before iteration 1, which lands here.
+        result = solve(x, SolverConfig(model=model, max_iters=6, tol=1e-300))
         assert jump_calls == ([] if model == "nlsr" else [True])
+        assert result.iterations_used == (6 if model == "nlsr" else 0)
 
     def test_attempts_follow_the_doubling_schedule(self, jump_calls, monkeypatch):
-        assert [k for k in range(1, 200) if solvers._attempts_after(k)] == [5, 10, 20, 40, 80, 160]
-        # A landed jump ends the solve: none is tried after iterations 10 and 20.
+        assert [k for k in range(200) if solvers._attempts_after(k)] == [0, 5, 10, 20, 40, 80, 160]
+        # A landed jump ends the solve: none is tried after iterations 5, 10
+        # and 20, and after the first failed attempt, none after 10 and 20.
         x = generate_synthetic(SyntheticSpec(40, 4, 4, 10, 0.01, seed=1)).data
         cfg = SolverConfig(max_iters=25, tol=1e-300)
         result = solve(x, cfg)
         assert jump_calls == [True]
-        assert result.converged and result.iterations_used == 5
-        assert result.residual_history == plain_solve(monkeypatch, x, cfg).residual_history[:5]
+        assert result.converged and result.iterations_used == 0
+        later = solve_without_the_first_attempt(monkeypatch, x, cfg)
+        assert jump_calls == [True, True]
+        assert later.converged and later.iterations_used == 5
+        assert later.residual_history == plain_solve(monkeypatch, x, cfg).residual_history[:5]
+
+    @pytest.mark.parametrize("model", ["ssrsc", "zero-diagonal", "slsr"])
+    def test_a_failed_first_attempt_leaves_plain_admm(self, model, monkeypatch):
+        # The tol that plain ADMM meets at iteration 4 ends the solve before
+        # the attempt after iteration 5: with the attempt before iteration 1
+        # failing, history and Z are the jump-free solve's, bit for bit.
+        x = generate_synthetic(SyntheticSpec(30, 4, 3, 50, 0.05, seed=1)).data
+        settings = {"model": "slsr"} if model == "slsr" else {"zero_diagonal": model == "zero-diagonal"}
+        rows = plain_solve(monkeypatch, x, SolverConfig(**settings, max_iters=4, tol=1e-300)).residual_history
+        cfg = SolverConfig(**settings, max_iters=50, tol=max(rows[-1]))
+        plain = plain_solve(monkeypatch, x, cfg)
+        assert plain.converged and plain.iterations_used <= 4
+        failed = solve_without_the_first_attempt(monkeypatch, x, cfg)
+        assert failed.converged
+        assert failed.residual_history == plain.residual_history
+        assert_same_coefficients(failed.coefficients, plain.coefficients)
 
     def test_failed_certification_leaves_the_iterates_untouched(self, monkeypatch, jump_calls):
-        # No round: no block is certified, so every attempt (after iterations
-        # 5, 10, 20, 40 and 80) fails and the solve is the plain one, bit for bit.
+        # No round: no block is certified, so every attempt (before iteration
+        # 1 and after iterations 5, 10, 20, 40 and 80) fails and the solve is
+        # the plain one, bit for bit.
         spec, _ = TOLERANCE_INPUTS["ssrsc N=400"]
         x = generate_synthetic(spec).data
         cfg = SolverConfig(tol=0.01, max_iters=5000)
         monkeypatch.setattr(solvers, "POLISH_ROUNDS", 0)
         failed = solve(x, cfg)
-        assert jump_calls == [False] * 5
+        assert jump_calls == [False] * 6
         plain = plain_solve(monkeypatch, x, cfg)
         assert 80 < plain.iterations_used < 160
         assert failed.residual_history == plain.residual_history
@@ -1082,7 +1141,7 @@ class TestCertifiedJump:
             solvers, "_simplex_optimum", lambda *args: None if args[4] == solvers.PROJECTION_BLOCK else optimum(*args)
         )
         failed = solve(x, cfg)
-        assert jump_calls == [False, False]
+        assert jump_calls == [False] * 3  # before iteration 1 and after 5 and 10
         plain = plain_solve(monkeypatch, x, cfg)
         assert failed.residual_history == plain.residual_history
         assert_same_coefficients(failed.coefficients, plain.coefficients)
@@ -1104,16 +1163,18 @@ class TestCertifiedJump:
         # under the 4 rho cap, which took 4987 iterations to tol 0.01.
         x = np.tile(np.random.default_rng(63).standard_normal((5, 1)), (1, 200))
         result = solve(x, SolverConfig(tol=0.01, max_iters=50))
-        assert result.converged
+        assert result.converged and result.iterations_used == 0  # before iteration 1
         np.testing.assert_allclose(result.coefficients, 0.5 / 200, rtol=1e-9)
 
     @pytest.mark.parametrize("n", [257, 258], ids=["N=257", "N=258"])
     @pytest.mark.parametrize("name", ["gaussian", "zero-diagonal", "identical points"])
-    def test_a_short_last_block_lands(self, name, n):
+    def test_a_short_last_block_lands(self, name, n, jump_calls):
         # The last row block holds 1 or 2 columns: the active set gathers its
         # supports in the task's whole second scratch block, not in the
         # block's few rows, where a support of more than N/r entries did
-        # not fit.
+        # not fit. The Gaussian and identical inputs land from the
+        # correlations before iteration 1, the short block's G being its
+        # 1 or 2 rows of the scratch.
         rng = np.random.default_rng(1)
         identical = name == "identical points"
         x = np.tile(rng.standard_normal((5, 1)), (1, n)) if identical else rng.standard_normal((40, n))
@@ -1121,9 +1182,61 @@ class TestCertifiedJump:
             lam=1.0 if name == "gaussian" else 0.01, zero_diagonal=name == "zero-diagonal", tol=0.01, max_iters=300
         )
         result = solve(x, cfg)
-        assert result.converged
-        certify = zero_diagonal_simplex_certificate if cfg.zero_diagonal else simplex_certificate
-        assert abs(certify(x, result.coefficients, cfg.lam, cfg.s)) <= 1e-9
+        assert result.converged and jump_calls[-1]
+        if not cfg.zero_diagonal:
+            assert jump_calls == [True] and result.iterations_used == 0
+        assert abs(certificate_of(x, result.coefficients, cfg)) <= 1e-9
+
+    @pytest.mark.parametrize("zero_diagonal", [False, True], ids=["ssrsc", "zero-diagonal"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 257, 258])
+    def test_the_correlated_start(self, n, zero_diagonal):
+        # Each column's start is s/m on its m largest b_i^T b_j (i != j with
+        # zero_diagonal), m = START_SUPPORT capped at its N or N - 1
+        # candidates: N=1 takes the point itself, N=2 with zero_diagonal the
+        # other one. Short last blocks (N=257, 258) index their own rows.
+        if zero_diagonal and n < 2:
+            return
+        x = np.random.default_rng(69).standard_normal((6, n))
+        cfg = SolverConfig(zero_diagonal=zero_diagonal, s=0.7)
+        kernel = precompute_kernel(x, 0.25)
+        b = np.sqrt(kernel.squared)[:, None] * kernel.vt
+        gram = b.T @ b
+        m = max(1, min(solvers.START_SUPPORT, n - zero_diagonal))
+        for first in range(0, n, solvers.PROJECTION_BLOCK):
+            rows = slice(first, min(first + solvers.PROJECTION_BLOCK, n))
+            count = rows.stop - rows.start
+            positions, values = solvers._correlated_start(b, cfg, rows, np.empty((count, n)))
+            assert np.all(np.diff(positions) > 0)
+            np.testing.assert_array_equal(values, np.full(count * m, cfg.s / m))
+            chosen = np.zeros((count, n), dtype=bool)
+            chosen.reshape(-1)[positions] = True
+            for j in range(count):
+                column = first + j
+                assert chosen[j].sum() == m and not (zero_diagonal and chosen[j, column])
+                outside = [i for i in range(n) if not (chosen[j, i] or (zero_diagonal and i == column))]
+                if outside:
+                    assert gram[chosen[j], column].min() >= gram[outside, column].max()
+
+    @pytest.mark.parametrize("zero_diagonal", [False, True], ids=["ssrsc", "zero-diagonal"])
+    @pytest.mark.parametrize("n", range(1, solvers.START_SUPPORT + 2))
+    def test_few_points_solve_to_tolerance(self, n, zero_diagonal):
+        # Up to N = START_SUPPORT the start takes every candidate; the
+        # system-width bound may skip the attempt, and ADMM and a later jump
+        # end the solve.
+        if zero_diagonal and n < 2:
+            return
+        x = np.random.default_rng(n).standard_normal((3, n))
+        cfg = SolverConfig(zero_diagonal=zero_diagonal, tol=0.01, max_iters=50)
+        result = solve(x, cfg)
+        z = result.coefficients
+        assert result.converged and z.min() >= 0 and np.abs(z.sum(axis=0) - cfg.s).max() <= 1e-12
+        assert abs(certificate_of(x, z, cfg)) <= 1e-9
+
+    def test_one_point_is_a_certified_start(self):
+        # m = N - 1 = 0 once raised from np.argpartition.
+        result = solve(np.ones((3, 1)), SolverConfig(tol=0.01, max_iters=50))
+        assert result.converged and result.iterations_used == 0
+        np.testing.assert_array_equal(result.coefficients, [[0.5]])
 
     @pytest.mark.parametrize("zero_diagonal", [False, True], ids=["ssrsc", "zero-diagonal"])
     def test_overflowing_jump_systems_leave_plain_admm(self, zero_diagonal):
@@ -1147,7 +1260,16 @@ class TestCertifiedJump:
         dense_route = TestCsrRoute.dense_route(monkeypatch, x, cfg)
         assert jump_calls == [True, True]
         assert sparse.converged and dense_route.converged
-        assert sparse.iterations_used == dense_route.iterations_used == 5
-        assert sparse.residual_history == plain_solve(monkeypatch, x, cfg).residual_history[:5]
+        assert sparse.iterations_used == dense_route.iterations_used == 0
         assert np.abs(sparse.coefficients - dense_route.coefficients).max() <= 1e-12
-        np.testing.assert_allclose(sparse.residual_history, dense_route.residual_history, rtol=1e-9, atol=1e-12)
+        # From ADMM's supports after iteration 5, too.
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_sparse_route", lambda model, n: False)
+            dense_later = solve_without_the_first_attempt(patch, x, cfg)
+        sparse_later = solve_without_the_first_attempt(monkeypatch, x, cfg)
+        assert jump_calls == [True] * 4
+        assert sparse_later.iterations_used == dense_later.iterations_used == 5
+        assert sparse_later.residual_history == plain_solve(monkeypatch, x, cfg).residual_history[:5]
+        assert np.abs(sparse_later.coefficients - dense_later.coefficients).max() <= 1e-12
+        assert np.abs(sparse_later.coefficients - sparse.coefficients).max() <= 1e-12
+        np.testing.assert_allclose(sparse_later.residual_history, dense_later.residual_history, rtol=1e-9, atol=1e-12)

@@ -25,15 +25,19 @@ to tolerance (tol 0.01, at most 5000 iterations, best of 5 each) are the
 ``solve-to-tol`` workload's: ssrsc, slsr and nlsr on the N=400 input, under
 ``to_tolerance`` for ssrsc and ``to_tolerance_<model>`` for the other two,
 and zero-diagonal ssrsc on the N=150 fixture (``SyntheticSpec(30, 4, 3, 50,
-0.05, seed=1)``), under ``to_tolerance_zero_diagonal``. Each records the
-certificate of its Z, from ``perfbench/checks.py``: the Frank-Wolfe gap
-over f(Z) for ssrsc, (f - f*)/f* for slsr and the projected-gradient
-residual for nlsr. Its ``solver`` block also holds the module constants of
-``simplexsc.solvers`` that shape a long solve (``RELAXATION``, the
-``BALANCE_*`` rule and ``POLISH_ROUNDS``), null where the imported sources
-lack one, and ``jump_after_iteration`` the iteration after which the
-solve's certified jump to the optimum landed, null if none did (or the
-sources have none).
+0.05, seed=1)``), under ``to_tolerance_zero_diagonal``. Two more, ssrsc with
+and without ``zero_diagonal`` on the N=3000 input (``large-default``'s),
+go under ``to_tolerance_n3000`` and ``to_tolerance_n3000_zero_diagonal``.
+Each records the certificate of its Z, from ``perfbench/checks.py``: the
+Frank-Wolfe gap over f(Z) for ssrsc, (f - f*)/f* for slsr and the
+projected-gradient residual for nlsr. Its ``solver`` block also holds the
+module constants of ``simplexsc.solvers`` that shape a long solve
+(``RELAXATION``, the ``BALANCE_*`` rule, ``POLISH_ROUNDS`` and
+``START_SUPPORT``), null where the imported sources lack one, and
+``jump_after_iteration`` the iteration after which the solve's certified
+jump to the optimum landed (0: before the first), null if none did (or
+the sources have none); ``ms_per_iteration`` is null for a solve of 0
+iterations.
 
 k-means inputs: k unit-normalised Gaussian blobs in k dimensions (the shape
 of the row-normalised spectral embedding that kmeans receives), fixed seeds:
@@ -98,7 +102,9 @@ REPEATS = 5
 TO_TOLERANCE = {"tol": 0.01, "max_iters": 5000}
 TOLERANCE_FIXTURE = (30, 4, 3, 50, 0.05, 1)  # SyntheticSpec of the zero-diagonal solve
 # simplexsc.solvers constants recorded with every solve to tolerance
-SOLVER_CONSTANTS = ("RELAXATION", "BALANCE_FROM", "BALANCE_RATIO", "BALANCE_STEP", "BALANCE_CAP", "POLISH_ROUNDS")
+SOLVER_CONSTANTS = (
+    "RELAXATION", "BALANCE_FROM", "BALANCE_RATIO", "BALANCE_STEP", "BALANCE_CAP", "POLISH_ROUNDS", "START_SUPPORT"
+)
 # (name, N, k, inputs per timing, seed of the first input)
 KMEANS_SHAPES = (("grid-cell", 150, 3, 12, 0), ("large", 3000, 5, 1, 100), ("ten-clusters", 600, 10, 3, 200))
 KMEANS_NOISE = 0.35
@@ -132,7 +138,8 @@ def with_jump(solvers, model: str, call):
     """Run call() and return the iteration after which model's certified jump landed (None if none did) and its result.
 
     The attempts come after the iterations that ``solvers._attempts_after``
-    names; sources without a jump in their model table give None.
+    names, 0 meaning before the first (only sources that try one there
+    name it); sources without a jump in their model table give None.
     """
     table = getattr(solvers, "_ADMM_MODELS", {})
     entry = table.get(model)
@@ -150,7 +157,7 @@ def with_jump(solvers, model: str, call):
         result = call()
     finally:
         table[model] = entry
-    attempts = [k for k in range(1, result.iterations_used + 1) if solvers._attempts_after(k)]
+    attempts = [k for k in range(result.iterations_used + 1) if solvers._attempts_after(k)]
     return next((k for k, ok in zip(attempts, landed) if ok), None), result
 
 
@@ -232,7 +239,7 @@ def main() -> None:
             kmeans_seconds.append(perf_counter() - start)
 
     cfg = SolverConfig()
-    solves, pipelines = {}, {}
+    solves, pipelines, points_of = {}, {}, {}
     simplexsc.spectral.kmeans = timed_kmeans
     try:
         for n, spec, pca_dim in SIZES:
@@ -240,6 +247,7 @@ def main() -> None:
             if pca_dim is not None:
                 x = pca_project(x, pca_dim)
             assert x.shape[1] == n
+            points_of[n] = x
             spectral_cfg = SpectralConfig(n_clusters=spec[2], seed=1)
             threads, result = with_helper_threads(lambda: solve(x, cfg))
             times = {"solve": [], "affinity": [], "spectral": [], "kmeans": []}
@@ -297,13 +305,15 @@ def main() -> None:
     sys.path.append(str(ROOT))
     from perfbench import checks
 
-    x = generate_synthetic(SyntheticSpec(*SIZES[0][1], 0.01, seed=1)).data
+    x = points_of[400]
     fixture = generate_synthetic(SyntheticSpec(*TOLERANCE_FIXTURE)).data
     tolerance_solves = (
         ("to_tolerance", x, {"model": "ssrsc"}),
         ("to_tolerance_slsr", x, {"model": "slsr"}),
         ("to_tolerance_nlsr", x, {"model": "nlsr"}),
         ("to_tolerance_zero_diagonal", fixture, {"model": "ssrsc", "zero_diagonal": True}),
+        ("to_tolerance_n3000", points_of[3000], {"model": "ssrsc"}),
+        ("to_tolerance_n3000_zero_diagonal", points_of[3000], {"model": "ssrsc", "zero_diagonal": True}),
     )
     constants = {name: getattr(simplexsc.solvers, name, None) for name in SOLVER_CONSTANTS}
     to_tolerance = {}
@@ -315,6 +325,7 @@ def main() -> None:
         times = [seconds(lambda: solve(points, tol_cfg)) for _ in range(REPEATS)]
         best_s, median_s = best_and_median(times)
         z = result.coefficients
+        z = z.toarray() if hasattr(z, "toarray") else z
         if tol_cfg.model == "ssrsc":
             certificate = checks.simplex_gap(points, z, tol_cfg.lam, tol_cfg.s, tol_cfg.zero_diagonal)
         elif tol_cfg.model == "slsr":
@@ -331,13 +342,12 @@ def main() -> None:
             "helper_threads": threads,
             "best_s": best_s,
             "median_s": median_s,
-            "ms_per_iteration": best_s / result.iterations_used * 1e3,
+            "ms_per_iteration": best_s / result.iterations_used * 1e3 if result.iterations_used else None,
             "output_sha256": solve_digest(result),
         }
         print(
             f"{args.label} {key} N={points.shape[1]}: {result.iterations_used} iterations (jump after {jumped}), "
-            f"certificate {certificate:.2g}, best {best_s * 1e3:.0f} ms "
-            f"({to_tolerance[key]['ms_per_iteration']:.2f} ms an iteration)"
+            f"certificate {certificate:.2g}, best {best_s * 1e3:.0f} ms, {threads} helper threads"
         )
 
     shapes = {}
